@@ -25,7 +25,14 @@ from .core import (
     split,
 )
 from .core import UnsupportedAlphaError
-from .kernels import HermitianKernel, alpha_det, restrict, spectrum, validate_determinantal
+from .kernels import (
+    HermitianKernel,
+    Spectrum,
+    alpha_det,
+    restrict,
+    spectrum,
+    validate_determinantal,
+)
 
 DET_UNION = "det-union"
 PERM_UNION = "perm-union"
@@ -72,7 +79,14 @@ def _require_supported(alpha):
 
 
 def scaled_kernel(kernel, factor):
-    return HermitianKernel(factor * kernel.matrix, kernel.ground)
+    """factor * K for a positive factor.  Its spectrum is derived from K's,
+    not recomputed: the same eigenfunctions, the eigenvalues times the
+    factor, still in descending order."""
+    scaled = HermitianKernel(factor * kernel.matrix, kernel.ground)
+    spec = spectrum(kernel)
+    derived = Spectrum(factor * spec.eigenvalues, spec.eigenvectors, spec.ground)
+    object.__setattr__(scaled, "_spectrum_cache", derived)
+    return scaled
 
 
 def sample_alpha(kernel, alpha, rng):

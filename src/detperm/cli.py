@@ -33,7 +33,7 @@ def _round12(obj):
 
 
 def _dump(obj, out):
-    print(json.dumps(_round12(obj)), file=out)
+    print(json.dumps(_round12(obj), allow_nan=False), file=out)
 
 
 def _format_label(label):

@@ -84,11 +84,11 @@ def split(rng, n):
 def sample_categorical(weights, rng):
     """Draw an index with probability proportional to ``weights[i]``."""
     w = np.asarray(weights, dtype=float)
-    if w.size == 0 or np.any(w < 0):
+    if w.size == 0 or not np.all(w >= 0):
         raise DegenerateDistributionError("weights must be non-negative and non-empty")
     total = w.sum()
-    if total <= 0:
-        raise DegenerateDistributionError("all categorical weights are zero")
+    if not 0 < total < math.inf:
+        raise DegenerateDistributionError(f"categorical weights sum to {total!r}")
     return int(np.searchsorted(np.cumsum(w), rng.random() * total, side="right"))
 
 
@@ -197,8 +197,8 @@ class GroundSet:
             raise DetpermError("ground set must contain at least one atom")
         if weights.shape != (len(labels),):
             raise DetpermError("labels and weights must have the same length")
-        if not np.all(weights > 0):
-            raise DetpermError("all atom weights must be strictly positive")
+        if not np.all((weights > 0) & np.isfinite(weights)):
+            raise DetpermError("all atom weights must be finite and strictly positive")
         if len(set(labels)) != len(labels):
             raise DetpermError("labels must be pairwise distinct")
 

@@ -1,11 +1,20 @@
 """Exact determinantal sampling.
 
-The workhorse is the projection sampler: a rank-r projection process is
-drawn one point at a time, selecting each point from the current intensity
-and then restricting the range space to the orthocomplement of the
-selected point's kernel column.  General kernels reduce to a random
-projection by drawing an independent Bernoulli indicator per eigenvalue;
-counts in any subset therefore follow an explicit Bernoulli convolution.
+Every determinantal process is a Bernoulli mixture of projection
+processes: ``sample_dpp`` keeps each eigenfunction of the kernel with
+probability equal to its eigenvalue, and ``sample_projection`` then draws
+the projection process on the kept ones.  Counts in any subset therefore
+follow an explicit Bernoulli convolution.
+
+The projection sampler is the sequential Schur-complement ("Cholesky")
+chain rule.  Let V be the n x r factor of the projection: V V* is
+W^(1/2) K W^(1/2) for the atom masses W, and V has orthonormal columns.
+The sampler keeps the residual diagonal d, the conditional intensity of
+every atom given the points drawn so far.  Each step picks an atom x with
+probability proportional to d, forms one new column of the Cholesky
+factor of V V* from column x, and subtracts its squared moduli from d:
+O(n r) per step and O(n r^2) per draw.  The same sampler draws random spanning trees
+(``ust``) and the determinantal copies of alpha-unions (``alphadet``).
 
 Note that the Bernoulli indicators are an auxiliary construction: they are
 not a measurable function of the sampled configuration, so no API here
@@ -21,47 +30,24 @@ import numpy as np
 
 from .core import (
     CountDistribution,
-    DegenerateDistributionError,
     DetpermError,
     GroundSet,
     KernelValidationError,
     NumericalDegeneracyError,
     PointConfiguration,
     bernoulli_sum_pmf,
+    clamp_unit_interval,
     sample_categorical,
 )
 from .kernels import HermitianKernel, restrict, spectrum, validate_determinantal
 
 ORTHONORMALITY_TOL = 1e-8
 IDEMPOTENCE_TOL = 1e-6
-RANK_DROP_TOL = 1e-6
-
-
-def _mu_norm(v, w):
-    return math.sqrt(float((np.abs(v) ** 2 * w).sum()))
-
-
-def _orthonormalize_rows(rows, w, drop_tol=None):
-    """Modified Gram-Schmidt on rows under the weighted inner product.
-
-    With ``drop_tol`` set, rows whose residual norm falls below it are
-    dropped and the number of dropped rows is returned alongside.
-    """
-    kept = []
-    dropped = 0
-    for row in rows:
-        v = np.array(row, dtype=complex)
-        for u in kept:
-            v -= ((u.conj() * w) @ v) * u
-        nrm = _mu_norm(v, w)
-        if drop_tol is not None and nrm < drop_tol:
-            dropped += 1
-            continue
-        if nrm == 0.0:
-            raise NumericalDegeneracyError("zero row in orthonormalization")
-        kept.append(v / nrm)
-    out = np.array(kept) if kept else np.zeros((0, len(w)), dtype=complex)
-    return out, dropped
+# The residual diagonal of the chain rule must sum to the number of points
+# still to draw, within this share of the rank; a drawn atom's residual must
+# keep at least this share of its starting intensity.
+TRACE_TOL = 1e-6
+PIVOT_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -79,7 +65,7 @@ class ProjectionBasis:
         object.__setattr__(self, "functions", f)
         w = self.ground.weights
         gram = (f * w) @ f.conj().T
-        if f.shape[0] and np.abs(gram - np.eye(f.shape[0])).max() > ORTHONORMALITY_TOL:
+        if f.shape[0] and not np.abs(gram - np.eye(f.shape[0])).max() <= ORTHONORMALITY_TOL:
             raise DetpermError("basis rows are not orthonormal under the weights")
 
     @property
@@ -121,38 +107,38 @@ def sample_projection(basis, rng):
     """Draw the projection process spanned by ``basis``: exactly
     ``basis.rank`` distinct points, in selection order.
 
-    Each step picks an atom x with probability proportional to
-    mu(x) * sum_i |phi_i(x)|^2, then replaces the basis by an orthonormal
-    spanning set of the orthocomplement of the selected kernel column.
-    Exactly one basis row must collapse per step; anything else is a
-    numerical degeneracy and raises.
+    Each step picks an atom x with probability proportional to its residual
+    intensity d[x] (at the first step mu(x) * sum_i |phi_i(x)|^2), then
+    conditions on x by one Schur-complement update of d.  The residual
+    must sum to the number of points still to draw, and the drawn atom's
+    residual must not have cancelled to rounding noise; either failure
+    raises NumericalDegeneracyError.
     """
-    w = basis.ground.weights
-    b = np.array(basis.functions, dtype=complex)
+    rank = basis.rank
+    v = basis.functions.T * np.sqrt(basis.ground.weights)[:, None]
+    d = (v.real**2 + v.imag**2).sum(axis=1)
+    start = d.copy()
+    cols = np.empty((len(d), rank), dtype=complex)
     chosen = []
-    for step in range(basis.rank):
-        weights = w * (np.abs(b) ** 2).sum(axis=0)
-        if chosen:
-            weights[chosen] = 0.0  # selected atoms carry no residual mass
-        total = weights.sum()
-        if total <= 0:
-            raise DegenerateDistributionError("projection sampler ran out of mass")
-        x = sample_categorical(weights, rng)
-        chosen.append(x)
-        # psi = kernel column at x expressed in the current row basis
-        coeff = b[:, x].conj()
-        psi = coeff @ b
-        nrm = _mu_norm(psi, w)
-        if nrm == 0.0:
-            raise NumericalDegeneracyError("selected point has a zero kernel column")
-        psi /= nrm
-        b = b - np.outer((b * (psi.conj() * w)).sum(axis=1), psi)
-        b[:, chosen] = 0.0  # functions in the reduced space vanish there
-        b, dropped = _orthonormalize_rows(b, w, drop_tol=RANK_DROP_TOL)
-        if dropped != 1:
+    for k in range(rank):
+        mass = np.maximum(d, 0.0)
+        total = mass.sum()
+        if not abs(total - (rank - k)) <= TRACE_TOL * rank:
             raise NumericalDegeneracyError(
-                f"rank update dropped {dropped} rows instead of exactly 1"
+                f"residual intensity {total!r} drifted from {rank - k} points to draw"
             )
+        x = sample_categorical(mass, rng)
+        pivot = d[x]
+        if not pivot > PIVOT_TOL * start[x]:
+            raise NumericalDegeneracyError(
+                f"pivot {pivot!r} at atom {x} cancelled below {PIVOT_TOL} of {start[x]!r}"
+            )
+        c = v @ v[x].conj() - cols[:, :k] @ cols[x, :k].conj()
+        c /= math.sqrt(pivot)
+        cols[:, k] = c
+        d -= c.real**2 + c.imag**2
+        d[x] = 0.0
+        chosen.append(x)
     return PointConfiguration(tuple(chosen), simple=True)
 
 
@@ -167,8 +153,6 @@ def sample_dpp(kernel, rng):
     if not verdict:
         raise KernelValidationError(f"kernel not determinantal: {verdict.reason}")
     spec = spectrum(kernel)
-    from .core import clamp_unit_interval
-
     lams = clamp_unit_interval(spec.eigenvalues)
     keep = np.nonzero(rng.random(len(lams)) < lams)[0]
     basis = ProjectionBasis.from_spectrum(spec, keep)

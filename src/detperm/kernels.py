@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,9 +32,11 @@ def _check_hermitian(matrix):
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DetpermError(f"kernel matrix must be square, got shape {m.shape}")
-    scale = 1.0 + (np.abs(m).max() if m.size else 0.0)
+    scale = np.abs(m).max() if m.size else 0.0
+    if not np.isfinite(scale):
+        raise DetpermError("kernel matrix has non-finite entries")
     dev = np.abs(m - m.conj().T).max() if m.size else 0.0
-    if dev > HERMITIAN_TOL * scale:
+    if dev > HERMITIAN_TOL * (1.0 + scale):
         raise SymmetryError(f"matrix is not Hermitian (max deviation {dev:.3e})")
     return m
 
@@ -169,6 +170,7 @@ def validate_determinantal(kernel, ground=None, tol=None):
     weighted inner product) lies in [0, 1] up to clamping tolerance.
     Accepts a HermitianKernel, or a raw matrix plus optional ground set so
     that non-Hermitian input yields an invalid verdict instead of an error.
+    Non-finite or non-square input is malformed and raises.
     """
     from .core import EIGENVALUE_TOL
 
@@ -177,7 +179,7 @@ def validate_determinantal(kernel, ground=None, tol=None):
         m = np.asarray(kernel, dtype=complex)
         try:
             _check_hermitian(m)
-        except (SymmetryError, DetpermError) as exc:
+        except SymmetryError as exc:
             return KernelVerdict(False, str(exc))
         if ground is None:
             ground = GroundSet.uniform(m.shape[0])
@@ -316,37 +318,3 @@ def joint_intensity(kernel, points, kind="determinantal", alpha=None):
     if abs(value.imag) > 1e-9 * (1 + abs(value.real)):
         raise DetpermError(f"joint intensity came out non-real: {value!r}")
     return float(value.real)
-
-
-def projection_from_rank(ground, rank, rng):
-    """Random rank-r projection kernel on a ground set (test fixture
-    helper): orthonormalizes r random rows in the weighted inner product."""
-    n = ground.size
-    if rank > n:
-        raise DetpermError("rank cannot exceed the ground size")
-    w = ground.weights
-    raw = rng.normal(size=(rank, n)) + 1j * rng.normal(size=(rank, n))
-    rows = []
-    for i in range(rank):
-        v = raw[i].astype(complex)
-        for u in rows:
-            v = v - ((u.conj() * w) @ v) * u
-        nrm = math.sqrt(float((np.abs(v) ** 2 * w).sum()))
-        rows.append(v / nrm)
-    b = np.array(rows) if rows else np.zeros((0, n), dtype=complex)
-    return HermitianKernel(b.T @ b.conj(), ground)
-
-
-def kernel_from_spectrum(ground, eigenvalues, rng):
-    """Kernel with prescribed eigenvalues and a random weighted-orthonormal
-    eigenbasis (test fixture helper)."""
-    lams = np.asarray(eigenvalues, dtype=float)
-    n = ground.size
-    if len(lams) > n:
-        raise DetpermError("more eigenvalues than ground points")
-    lams = np.concatenate([lams, np.zeros(n - len(lams))])
-    proj = projection_from_rank(ground, n, rng)  # full basis
-    basis = spectrum(proj).eigenvectors  # columns orthonormal under weights
-    matrix = (basis * lams) @ basis.conj().T
-    matrix = (matrix + matrix.conj().T) / 2
-    return HermitianKernel(matrix, ground)

@@ -2,16 +2,17 @@
 
 The edge set of a (conductance-weighted) uniform spanning tree is a
 determinantal process whose kernel is the transfer-current matrix: entry
-(e, f) is the current through f when a unit current is driven across e.
-Concretely this is the orthogonal projection onto the column space of the
-signed incidence matrix, computed with the graph Laplacian pseudoinverse,
-and it has rank |V| - 1.
+(e, f) is the current through f when a unit current is driven across e
+(Burton-Pemantle).  It is the orthogonal projection onto the column space
+of C^(1/2) B, with B the signed edge-vertex incidence matrix and C the
+conductances, and it has rank |V| - 1.
 
-The sampler walks the projection-process recipe directly on the graph:
-pick an edge with probability conductance * effective resistance / n,
-contract it, recompute resistances, repeat.  The trace identity
-sum_e c_e R(e) = (#tree edges still needed) is asserted after every
-contraction.
+Grounding one vertex leaves B with full column rank, so a thin QR of
+C^(1/2) B gives an orthonormal basis of that column space.  The basis is
+computed once per graph and cached on it; the kernel, the effective
+resistances and the tree sampler all read it.  A tree is one draw of the
+chain-rule projection sampler of ``dpp`` on that basis, at O(|E| |V|^2)
+per tree and with no pseudoinverse.
 """
 
 from __future__ import annotations
@@ -20,10 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GraphError, GroundSet, sample_categorical
-from .kernels import HermitianKernel
-
-TRACE_TOL = 1e-8
+from .core import GraphError, GroundSet, NumericalDegeneracyError
+from .dpp import ProjectionBasis, sample_projection
 
 
 @dataclass(frozen=True)
@@ -134,72 +133,46 @@ def _incidence(n_vertices, index_pairs):
     return b
 
 
-def _current_matrix(n_vertices, index_pairs, cond):
-    """B L^+ B^T: entry (e, f) is the current through f per unit current
-    driven across e."""
-    b = _incidence(n_vertices, index_pairs)
-    lap = b.T @ (cond[:, None] * b)
-    return b @ np.linalg.pinv(lap, hermitian=True) @ b.T
+def _tree_basis(graph):
+    """The projection basis of the transfer-current kernel, cached on the
+    graph: the columns of Q in a thin QR of C^(1/2) B with vertex 0
+    grounded, as rows over the edges (unit masses)."""
+    cached = getattr(graph, "_tree_basis_cache", None)
+    if cached is not None:
+        return cached
+    b = _incidence(graph.n_vertices, graph._index_pairs())[:, 1:]
+    q, _ = np.linalg.qr(np.sqrt(graph.conductances)[:, None] * b)
+    ground = GroundSet(graph.edge_labels(), np.ones(graph.n_edges))
+    basis = ProjectionBasis(q.T, ground)
+    object.__setattr__(graph, "_tree_basis_cache", basis)
+    return basis
 
 
 def transfer_current_kernel(graph):
     """Determinantal kernel of the weighted spanning tree on the edge set
     (counting measure): C^(1/2) B L^+ B^T C^(1/2), an orthogonal
     projection of rank |V| - 1 with diagonal c_e R(e) = P(e in tree)."""
-    y = _current_matrix(graph.n_vertices, graph._index_pairs(), graph.conductances)
-    s = np.sqrt(graph.conductances)
-    k = s[:, None] * y * s[None, :]
-    k = (k + k.T) / 2
-    ground = GroundSet(graph.edge_labels(), np.ones(graph.n_edges))
-    return HermitianKernel(k.astype(complex), ground)
+    return _tree_basis(graph).kernel()
 
 
 def effective_resistance(graph, edge):
     """Voltage across an edge when a unit current is driven along it."""
     e = graph.edge_index(edge)
-    y = _current_matrix(graph.n_vertices, graph._index_pairs(), graph.conductances)
-    return float(y[e, e])
+    column = _tree_basis(graph).functions[:, e]
+    return float((np.abs(column) ** 2).sum() / graph.conductances[e])
 
 
 def sample_ust(graph, rng):
     """Draw one spanning tree (edge indices), distributed proportionally
-    to the product of its conductances.
-
-    Repeatedly selects an edge with probability c_e R(e) / n, contracts
-    it, drops the self-loops the contraction creates, and recomputes
-    effective resistances on the contracted multigraph.
-    """
-    classes = list(range(graph.n_vertices))
-
-    def find(x):
-        while classes[x] != x:
-            classes[x] = classes[classes[x]]
-            x = classes[x]
-        return x
-
-    alive = [(i, u, v) for i, (u, v) in enumerate(graph._index_pairs())]
-    cond = graph.conductances
-    tree = []
-    needed = graph.n_vertices - 1
-    while needed > 0:
-        reps = sorted({find(v) for v in range(graph.n_vertices)})
-        relabel = {r: i for i, r in enumerate(reps)}
-        pairs = [(relabel[find(u)], relabel[find(v)]) for _, u, v in alive]
-        c = np.array([cond[i] for i, _, _ in alive])
-        y = _current_matrix(len(reps), pairs, c)
-        resistances = np.diag(y)
-        mass = c * resistances
-        if abs(mass.sum() - needed) > TRACE_TOL * max(1.0, needed):
-            raise GraphError(
-                f"resistance trace {mass.sum()!r} drifted from {needed}"
-            )
-        pick = sample_categorical(np.maximum(mass, 0.0), rng)
-        orig, u, v = alive[pick]
-        tree.append(orig)
-        classes[find(u)] = find(v)
-        alive = [(i, a, b) for i, a, b in alive if find(a) != find(b)]
-        needed -= 1
-    return tuple(sorted(tree))
+    to the product of its conductances: one projection-process draw on
+    the transfer-current basis."""
+    if graph.n_vertices == 1:
+        return ()
+    try:
+        config = sample_projection(_tree_basis(graph), rng)
+    except NumericalDegeneracyError as exc:
+        raise GraphError(f"spanning-tree sampler degenerated: {exc}") from exc
+    return tuple(sorted(config.points))
 
 
 def is_spanning_tree(graph, edge_indices):

@@ -3,10 +3,12 @@
 The oracles here deliberately avoid the library's own computation paths:
 spanning trees come from brute-force subset enumeration, occupancy laws
 from enumerating every ball placement, count laws from enumerating every
-indicator outcome.
+indicator outcome.  The random kernel builders give tests projections and
+kernels with a prescribed spectrum.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -83,3 +85,37 @@ def bernoulli_sum_enumeration(lams):
 def tabulate(values, width=None):
     v = np.asarray(list(values), dtype=np.int64)
     return np.bincount(v, minlength=(width or (v.max() + 1 if v.size else 1)))
+
+
+def projection_from_rank(ground, rank, rng):
+    """Random rank-r projection kernel on a ground set: orthonormalizes r
+    random rows in the weighted inner product."""
+    n = ground.size
+    if rank > n:
+        raise dp.DetpermError("rank cannot exceed the ground size")
+    w = ground.weights
+    raw = rng.normal(size=(rank, n)) + 1j * rng.normal(size=(rank, n))
+    rows = []
+    for i in range(rank):
+        v = raw[i].astype(complex)
+        for u in rows:
+            v = v - ((u.conj() * w) @ v) * u
+        nrm = math.sqrt(float((np.abs(v) ** 2 * w).sum()))
+        rows.append(v / nrm)
+    b = np.array(rows) if rows else np.zeros((0, n), dtype=complex)
+    return dp.HermitianKernel(b.T @ b.conj(), ground)
+
+
+def kernel_from_spectrum(ground, eigenvalues, rng):
+    """Kernel with prescribed eigenvalues and a random weighted-orthonormal
+    eigenbasis."""
+    lams = np.asarray(eigenvalues, dtype=float)
+    n = ground.size
+    if len(lams) > n:
+        raise dp.DetpermError("more eigenvalues than ground points")
+    lams = np.concatenate([lams, np.zeros(n - len(lams))])
+    proj = projection_from_rank(ground, n, rng)  # full basis
+    basis = dp.spectrum(proj).eigenvectors  # columns orthonormal under weights
+    matrix = (basis * lams) @ basis.conj().T
+    matrix = (matrix + matrix.conj().T) / 2
+    return dp.HermitianKernel(matrix, ground)

@@ -17,10 +17,14 @@ from scipy import stats
 
 import detperm as dp
 from detperm.alphadet import WITNESS_MATRIX
-from detperm.kernels import kernel_from_spectrum, projection_from_rank
 from detperm.ust import Graph
 
-from conftest import enumerate_spanning_trees, tabulate
+from conftest import (
+    enumerate_spanning_trees,
+    kernel_from_spectrum,
+    projection_from_rank,
+    tabulate,
+)
 
 FAMILY_SIGNIFICANCE = 1e-3
 N_STAT_TESTS = 32  # upper bound on the goodness-of-fit tests run below

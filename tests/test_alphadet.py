@@ -6,11 +6,16 @@ import pytest
 from scipy import stats
 
 import detperm as dp
-from detperm.alphadet import DET_UNION, PERM_UNION, UNSUPPORTED, WITNESS_MATRIX
+from detperm.alphadet import (
+    DET_UNION,
+    PERM_UNION,
+    UNSUPPORTED,
+    WITNESS_MATRIX,
+    scaled_kernel,
+)
 from detperm.core import UnsupportedAlphaError
-from detperm.kernels import kernel_from_spectrum, projection_from_rank
 
-from conftest import tabulate
+from conftest import kernel_from_spectrum, projection_from_rank, tabulate
 
 ALPHA = 1e-3
 N_SAMPLES = 10000
@@ -75,6 +80,24 @@ class TestSampleAlpha:
         with pytest.raises(dp.DetpermError):
             dp.sample_alpha(k, -1.0, rng)  # K itself has an eigenvalue 1.5
         dp.sample_alpha(k, -0.5, rng)  # but K/2 is fine
+
+
+    def test_scaled_copies_reuse_the_parent_spectrum(self, rng, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        k = kernel_from_spectrum(dp.GroundSet.uniform(5), [0.9, 0.6, 0.3], rng)
+        calls.clear()
+        for alpha in [-0.5] * 25 + [-1 / 3] * 25:
+            dp.sample_alpha(k, alpha, rng)
+        assert len(calls) <= 1
+        derived = dp.spectrum(scaled_kernel(k, 1 / 3))
+        np.testing.assert_allclose(derived.reconstruct(), k.matrix / 3, atol=1e-12)
 
 
 class TestAlphaCountPmf:

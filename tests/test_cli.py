@@ -1,11 +1,15 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import detperm as dp
 from detperm.cli import main
-from detperm.kernels import kernel_from_spectrum, projection_from_rank
+
+from conftest import kernel_from_spectrum, projection_from_rank
+
+EXAMPLE_SUITE = Path(__file__).resolve().parents[1] / "scripts" / "example_suite.json"
 
 
 @pytest.fixture
@@ -69,6 +73,14 @@ class TestValidateCommand:
         path.write_text(json.dumps({"matrix_real": [[1.0, 0.4], [0.1, 1.0]]}))
         assert main(["validate", "--kernel", str(path)]) == 1
         assert "Hermitian" in json.loads(capsys.readouterr().out)["reason"]
+
+    def test_nan_kernel_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps({"matrix_real": [[float("nan"), 0.0], [0.0, 0.5]]}))
+        assert main(["validate", "--kernel", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "non-finite" in captured.err
 
     def test_missing_file_exits_two(self, capsys):
         assert main(["validate", "--kernel", "/nonexistent.json"]) == 2
@@ -213,6 +225,16 @@ class TestVerifyCommand:
         )
         # final variance 4 < 50, so the check cannot pass
         assert main(["verify", "--suite", str(suite), "--seed", "4"]) == 1
+
+    def test_every_line_is_strict_json(self, capsys):
+        def reject(constant):
+            raise ValueError(f"not strict JSON: {constant}")
+
+        main(["verify", "--suite", str(EXAMPLE_SUITE), "--seed", "4"])
+        lines = capsys.readouterr().out.strip().splitlines()
+        reports = [json.loads(line, parse_constant=reject) for line in lines]
+        assert len(reports) == 9
+        assert any(r["p_value"] is None for r in reports)  # the CLT report
 
     def test_malformed_suite_exits_two(self, tmp_path):
         suite = tmp_path / "broken.json"

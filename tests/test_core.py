@@ -133,6 +133,11 @@ class TestCategorical:
         with pytest.raises(DegenerateDistributionError):
             dp.sample_categorical([1.0, -1.0], rng)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_weights_rejected(self, bad, rng):
+        with pytest.raises(DegenerateDistributionError):
+            dp.sample_categorical([bad, 1.0, 2.0], rng)
+
 
 class TestGammaBeta:
     def test_gamma_one_is_exponential(self, rng):
@@ -215,6 +220,11 @@ class TestGroundSet:
             dp.GroundSet(("a", "b"), np.array([1.0, 0.0]))
         with pytest.raises(dp.DetpermError):
             dp.GroundSet(("a", "a"), np.array([1.0, 1.0]))
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_weight_rejected(self, bad):
+        with pytest.raises(dp.DetpermError, match="finite"):
+            dp.GroundSet(("a", "b"), np.array([1.0, bad]))
 
     def test_json_round_trip(self):
         g = dp.GroundSet(("x", "y", "z"), np.array([0.5, 1.0, 2.0]))

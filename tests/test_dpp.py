@@ -6,10 +6,14 @@ import numpy as np
 import pytest
 
 import detperm as dp
-from detperm.core import KernelValidationError
-from detperm.kernels import kernel_from_spectrum, projection_from_rank
+from detperm.core import KernelValidationError, NumericalDegeneracyError
 
-from conftest import occupancy_pmf_exact, tabulate
+from conftest import (
+    kernel_from_spectrum,
+    occupancy_pmf_exact,
+    projection_from_rank,
+    tabulate,
+)
 
 ALPHA = 1e-3
 N_SAMPLES = 10000
@@ -67,6 +71,13 @@ class TestSampleProjection:
             config = dp.sample_projection(rank2_basis, rng)
             assert len(config) == 2
             assert len(set(config.points)) == 2
+
+    def test_broken_trace_identity_raises(self, rank2_basis, rng):
+        # rows scaled by 1.01 carry 1.0201 times the rank in intensity: the
+        # sampler must refuse, not clamp and draw
+        object.__setattr__(rank2_basis, "functions", 1.01 * rank2_basis.functions)
+        with pytest.raises(NumericalDegeneracyError, match="drifted"):
+            dp.sample_projection(rank2_basis, rng)
 
     def test_draw_order_is_exchangeable(self, rank2_basis, rng):
         first, last = [], []

@@ -137,7 +137,7 @@ class TestRunSuite:
         assert [r.statistic for r in reports] == [r.statistic for r in again]
 
     def test_kernel_and_graph_checks(self, tmp_path):
-        from detperm.kernels import kernel_from_spectrum
+        from conftest import kernel_from_spectrum
 
         kpath = tmp_path / "k.json"
         kernel_from_spectrum(

@@ -6,11 +6,9 @@ import pytest
 
 import detperm as dp
 from detperm.core import CapacityError, SymmetryError
-from detperm.kernels import (
-    kernel_from_spectrum,
-    parse_kernel_json,
-    projection_from_rank,
-)
+from detperm.kernels import parse_kernel_json
+
+from conftest import kernel_from_spectrum, projection_from_rank
 
 WITNESS = np.array([[2.0, -1.0, -1.0], [-1.0, 2.0, -1.0], [-1.0, -1.0, 2.0]])
 
@@ -59,6 +57,15 @@ class TestSpectrum:
             dp.HermitianKernel(
                 np.array([[1.0, 0.5], [0.2, 1.0]], dtype=complex), dp.GroundSet.uniform(2)
             )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+    def test_non_finite_entry_rejected(self, bad):
+        m = np.array([[0.5, 0.1], [0.1, 0.5]], dtype=complex)
+        m[1, 1] = bad
+        with pytest.raises(dp.DetpermError, match="non-finite"):
+            dp.HermitianKernel(m, dp.GroundSet.uniform(2))
+        with pytest.raises(dp.DetpermError, match="non-finite"):
+            dp.validate_determinantal(m)  # malformed input, not a verdict
 
 
 class TestValidateDeterminantal:

@@ -7,10 +7,9 @@ import pytest
 
 import detperm as dp
 from detperm.core import InvalidEigenvalueError
-from detperm.kernels import kernel_from_spectrum, projection_from_rank
 from detperm.permanental import standard_complex_normal
 
-from conftest import tabulate
+from conftest import kernel_from_spectrum, projection_from_rank, tabulate
 
 ALPHA = 1e-3
 N_SAMPLES = 10000

@@ -151,6 +151,18 @@ class TestSampleUst:
         )
         assert report.p_value > ALPHA, report
 
+    def test_three_by_three_grid_tree_law(self, rng):
+        edges = [((r, c), (r, c + 1)) for r in range(3) for c in range(2)]
+        edges += [((r, c), (r + 1, c)) for r in range(2) for c in range(3)]
+        vertices = tuple((r, c) for r in range(3) for c in range(3))
+        g = Graph(vertices, tuple(edges), rng.uniform(0.5, 2.0, size=len(edges)))
+        trees, probs = tree_law(g)
+        assert len(trees) == 192
+        counts = Counter(dp.sample_ust(g, rng) for _ in range(2 * N_SAMPLES))
+        assert set(counts) <= set(trees)
+        report = dp.chi_square_fit(np.array([counts.get(t, 0) for t in trees]), probs)
+        assert report.p_value > ALPHA, report
+
     def test_weighted_tree_law(self, rng):
         g = Graph.from_edge_list("a b 2.0\nb c\nc a 0.5")
         trees, probs = tree_law(g)
