@@ -12,8 +12,6 @@ Example:
 import argparse
 import sys
 
-import numpy as np
-
 import detperm as dp
 
 
@@ -30,25 +28,13 @@ def main():
     kernel, clamp = dp.discretize_radial_kernel(spec, args.grid_h, args.radius)
     print(f"grid: {kernel.size} cells, eigenvalue clamp {clamp:.2e}", file=sys.stderr)
 
-    rng = dp.stream(args.seed)
-    centers = np.array(kernel.ground.labels)
-    rows = []
-
-    means = np.real(np.diag(kernel.matrix)) * kernel.ground.weights
-    for idx in np.repeat(np.arange(kernel.size), rng.poisson(means)):
-        rows.append(("poisson", centers[idx]))
-    for name, sampler in (("determinantal", dp.sample_dpp),
-                          ("permanental", dp.sample_permanental)):
-        for p in sampler(kernel, rng).points:
-            rows.append((name, centers[p]))
-
+    clouds = dp.sample_clouds(kernel, dp.stream(args.seed))
     with open(args.out, "w") as fh:
         fh.write("process,re,im\n")
-        for name, z in rows:
-            fh.write(f"{name},{z.real:.12g},{z.imag:.12g}\n")
-    counts = {}
-    for name, _ in rows:
-        counts[name] = counts.get(name, 0) + 1
+        for name, config in clouds.items():
+            for z in config.labels(kernel.ground):
+                fh.write(f"{name},{z.real:.12g},{z.imag:.12g}\n")
+    counts = {name: len(config) for name, config in clouds.items()}
     print(f"wrote {args.out}: {counts}", file=sys.stderr)
 
 

@@ -9,9 +9,7 @@ from .core import (
     PointConfiguration,
     bernoulli_sum_pmf,
     geometric_sum_pmf,
-    sample_beta,
     sample_categorical,
-    sample_gamma,
     split,
     stream,
 )
@@ -56,6 +54,7 @@ from .planar import (
     discretize_radial_kernel,
     ginibre_spec,
     power_independence_check,
+    sample_clouds,
     sample_radial_moduli,
     torus_moment,
 )

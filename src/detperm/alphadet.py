@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    RECIPROCAL_TOL,
     CountDistribution,
     KernelValidationError,
     PointConfiguration,
@@ -52,19 +53,19 @@ class AlphaRegime:
     copies: int | None = None
 
 
-def classify_alpha(alpha, tol=1e-9):
+def classify_alpha(alpha):
     """Classify alpha: union of -1/alpha determinantal copies, union of
     1/alpha permanental copies, or unsupported."""
     a = float(alpha)
     if a < 0:
         m = -1.0 / a
         mr = round(m)
-        if mr >= 1 and abs(m - mr) <= tol * max(1.0, mr):
+        if mr >= 1 and abs(m - mr) <= RECIPROCAL_TOL * max(1.0, mr):
             return AlphaRegime(a, DET_UNION, int(mr))
     elif a > 0:
         m = 1.0 / a
         mr = round(m)
-        if mr >= 1 and abs(m - mr) <= tol * max(1.0, mr):
+        if mr >= 1 and abs(m - mr) <= RECIPROCAL_TOL * max(1.0, mr):
             return AlphaRegime(a, PERM_UNION, int(mr))
     return AlphaRegime(a, UNSUPPORTED)
 
@@ -79,14 +80,18 @@ def _require_supported(alpha):
 
 
 def scaled_kernel(kernel, factor):
-    """factor * K for a positive factor.  Its spectrum is derived from K's,
-    not recomputed: the same eigenfunctions, the eigenvalues times the
-    factor, still in descending order."""
-    scaled = HermitianKernel(factor * kernel.matrix, kernel.ground)
-    spec = spectrum(kernel)
-    derived = Spectrum(factor * spec.eigenvalues, spec.eigenvectors, spec.ground)
-    object.__setattr__(scaled, "_spectrum_cache", derived)
-    return scaled
+    """factor * K for a positive factor, built once per factor and cached
+    on K.  Its spectrum is derived from K's, not recomputed: the same
+    eigenfunctions, the eigenvalues times the factor, still in descending
+    order."""
+    cache = kernel.__dict__.setdefault("_scaled_cache", {})
+    if factor not in cache:
+        scaled = HermitianKernel(factor * kernel.matrix, kernel.ground)
+        spec = spectrum(kernel)
+        derived = Spectrum(factor * spec.eigenvalues, spec.eigenvectors, spec.ground)
+        object.__setattr__(scaled, "_spectrum_cache", derived)
+        cache[factor] = scaled
+    return cache[factor]
 
 
 def sample_alpha(kernel, alpha, rng):

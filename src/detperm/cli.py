@@ -142,24 +142,13 @@ def _cmd_radial(args):
         matrix = planar.annuli_lambdas(spec, annuli)
         _dump({"lambdas": [list(row) for row in matrix]}, sys.stdout)
         return 0
-    # point-cloud trio: independent, determinantal, permanental
-    from .dpp import sample_dpp
-    from .permanental import sample_permanental
-
     rng = stream(args.seed)
     kernel, clamp = planar.discretize_radial_kernel(spec, args.grid_h, args.radius)
     print(f"# eigenvalue clamp magnitude {clamp:.3e}", file=sys.stderr)
-    means = np.real(np.diag(kernel.matrix)) * kernel.ground.weights
     with _open_out(args.out) as out:
         print("process,sample,re,im", file=out)
         for s in range(args.count):
-            counts = rng.poisson(means)
-            for idx in np.repeat(np.arange(len(means)), counts):
-                z = kernel.ground.labels[idx]
-                print(f"poisson,{s},{z.real:.12g},{z.imag:.12g}", file=out)
-            for name, sampler in (("determinantal", sample_dpp),
-                                  ("permanental", sample_permanental)):
-                config = sampler(kernel, rng)
+            for name, config in planar.sample_clouds(kernel, rng).items():
                 for z in config.labels(kernel.ground):
                     print(f"{name},{s},{z.real:.12g},{z.imag:.12g}", file=out)
     return 0

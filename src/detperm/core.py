@@ -10,13 +10,33 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-# Numerical eigendecompositions jitter eigenvalues slightly outside their
-# theoretical range; values within EIGENVALUE_TOL of [0, 1] are clamped.
+# Every numerical tolerance of the package, each bounding one quantity.
+# Eigenvalues (and eigenvalue-like weights) within this of their admissible
+# range are clamped into it; further out they are rejected.
 EIGENVALUE_TOL = 1e-9
+# Max |K - K*| of a Hermitian kernel, relative to 1 + max |K|.
+HERMITIAN_TOL = 1e-10
+# |det| of a minor at most this times Hadamard's bound (the product of its
+# row norms) reports an exact 0, so repeated-point minors vanish.
+SINGULARITY_TOL = 1e-12
+# Max deviation of a projection basis's weighted Gram matrix from I.
+ORTHONORMALITY_TOL = 1e-8
+# Max distance of a projection kernel's eigenvalues from {0, 1}.
+PROJECTION_TOL = 1e-6
+# Max drift of the chain rule's residual trace from the number of points
+# still to draw, as a share of the rank.
+TRACE_TOL = 1e-6
+# Min residual of a drawn atom in the chain rule, as a share of its
+# starting intensity.
+PIVOT_TOL = 1e-10
+# Max distance of -1/alpha or 1/alpha from an integer, relative to it.
+RECIPROCAL_TOL = 1e-9
+# Max error of a radial term's normalizer a_k^2 times its base moment from 1.
+NORMALIZATION_TOL = 1e-8
 
 
 class DetpermError(ValueError):
@@ -92,65 +112,12 @@ def sample_categorical(weights, rng):
     return int(np.searchsorted(np.cumsum(w), rng.random() * total, side="right"))
 
 
-def sample_gamma(shape, rng):
-    """One draw from gamma(shape, 1)."""
-    if shape <= 0:
-        raise ParameterError(f"gamma shape must be positive, got {shape}")
-    return float(rng.gamma(shape))
-
-
-def sample_beta(a, b, rng):
-    """One draw from beta(a, b)."""
-    if a <= 0 or b <= 0:
-        raise ParameterError(f"beta parameters must be positive, got ({a}, {b})")
-    return float(rng.beta(a, b))
-
-
-def sample_poisson(mean, rng):
-    """One Poisson draw; inversion by sequential search below mean 30.
-
-    Above 30 this delegates to the generator's own method (numpy's
-    transformed-rejection sampler, which is exact).
-    """
-    if mean < 0:
-        raise ParameterError(f"Poisson mean must be non-negative, got {mean}")
-    if mean == 0:
-        return 0
-    if mean >= 30:
-        return int(rng.poisson(mean))
-    u = rng.random()
-    p = math.exp(-mean)
-    cum, k = p, 0
-    while u > cum:
-        k += 1
-        p *= mean / k
-        cum += p
-    return k
-
-
 def sample_poisson_array(means, rng):
-    """Independent Poisson draws for an array of means (vectorized inversion)."""
+    """Independent Poisson draws for an array of means (numpy's exact sampler)."""
     m = np.asarray(means, dtype=float)
-    if np.any(m < 0):
+    if not np.all(m >= 0):
         raise ParameterError("Poisson means must be non-negative")
-    out = np.zeros(m.shape, dtype=np.int64)
-    small = m < 30
-    if small.any():
-        ms = m[small]
-        u = rng.random(ms.shape)
-        p = np.exp(-ms)
-        cum = p.copy()
-        k = np.zeros(ms.shape, dtype=np.int64)
-        active = u > cum
-        while active.any():
-            k[active] += 1
-            p[active] *= ms[active] / k[active]
-            cum[active] += p[active]
-            active = u > cum
-        out[small] = k
-    if (~small).any():
-        out[~small] = rng.poisson(m[~small])
-    return out
+    return rng.poisson(m)
 
 
 def sample_geometric(mean, rng):
@@ -306,8 +273,9 @@ class CountDistribution:
 # count laws
 
 
-def clamp_unit_interval(values, tol=EIGENVALUE_TOL):
-    """Clamp values into [0, 1], allowing jitter of up to ``tol`` outside."""
+def clamp_unit_interval(values):
+    """Clamp values into [0, 1], allowing jitter of up to EIGENVALUE_TOL outside."""
+    tol = EIGENVALUE_TOL
     v = np.asarray(values, dtype=float)
     if v.size and (v.min() < -tol or v.max() > 1 + tol):
         bad = v[(v < -tol) | (v > 1 + tol)][0]
@@ -315,10 +283,10 @@ def clamp_unit_interval(values, tol=EIGENVALUE_TOL):
     return np.clip(v, 0.0, 1.0)
 
 
-def clamp_nonnegative(values, tol=EIGENVALUE_TOL):
-    """Clamp values into [0, inf), allowing jitter of up to ``tol`` below 0."""
+def clamp_nonnegative(values):
+    """Clamp values into [0, inf), allowing jitter of up to EIGENVALUE_TOL below 0."""
     v = np.asarray(values, dtype=float)
-    if v.size and v.min() < -tol:
+    if v.size and v.min() < -EIGENVALUE_TOL:
         raise InvalidEigenvalueError(f"value {v.min()!r} negative beyond tolerance")
     return np.maximum(v, 0.0)
 

@@ -29,6 +29,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    EIGENVALUE_TOL,
+    ORTHONORMALITY_TOL,
+    PIVOT_TOL,
+    PROJECTION_TOL,
+    TRACE_TOL,
     CountDistribution,
     DetpermError,
     GroundSet,
@@ -40,14 +45,6 @@ from .core import (
     sample_categorical,
 )
 from .kernels import HermitianKernel, restrict, spectrum, validate_determinantal
-
-ORTHONORMALITY_TOL = 1e-8
-IDEMPOTENCE_TOL = 1e-6
-# The residual diagonal of the chain rule must sum to the number of points
-# still to draw, within this share of the rank; a drawn atom's residual must
-# keep at least this share of its starting intensity.
-TRACE_TOL = 1e-6
-PIVOT_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -79,13 +76,6 @@ class ProjectionBasis:
     def kernel(self):
         return HermitianKernel(self.kernel_matrix(), self.ground)
 
-    def check_idempotent(self, tol=IDEMPOTENCE_TOL):
-        k = self.kernel_matrix()
-        w = self.ground.weights
-        dev = np.abs((k * w) @ k - k).max() if k.size else 0.0
-        if dev > tol:
-            raise DetpermError(f"induced kernel is not idempotent (dev {dev:.3e})")
-
     @staticmethod
     def from_spectrum(spec, indices):
         """Basis from selected eigenfunction columns of a spectrum."""
@@ -93,12 +83,13 @@ class ProjectionBasis:
         return ProjectionBasis(rows, spec.ground)
 
     @staticmethod
-    def from_kernel(kernel, tol=1e-6):
-        """Basis of a projection kernel (eigenvalues within tol of {0, 1})."""
+    def from_kernel(kernel):
+        """Basis of a projection kernel (eigenvalues within PROJECTION_TOL
+        of {0, 1})."""
         spec = spectrum(kernel)
         vals = spec.eigenvalues
         near_one = vals > 0.5
-        if np.any(np.abs(vals - np.round(vals)) > tol):
+        if np.any(np.abs(vals - np.round(vals)) > PROJECTION_TOL):
             raise DetpermError("kernel is not a projection within tolerance")
         return ProjectionBasis.from_spectrum(spec, np.nonzero(near_one)[0])
 
@@ -169,7 +160,7 @@ def count_pmf(kernel, subset):
     return bernoulli_sum_pmf(spectrum(sub).eigenvalues)
 
 
-def joint_counts_observable(lambda_matrix, rng, tol=1e-9):
+def joint_counts_observable(lambda_matrix, rng):
     """One draw of joint counts in r cells for a simultaneously observable
     family, as an independent ball-into-cell assignment.
 
@@ -183,7 +174,7 @@ def joint_counts_observable(lambda_matrix, rng, tol=1e-9):
     counts = np.zeros(r, dtype=np.int64)
     for row in lm:
         s = row.sum()
-        if s > 1 + tol:
+        if s > 1 + EIGENVALUE_TOL:
             raise DetpermError(f"row sums to {s!r} > 1")
         rest = max(0.0, 1.0 - s)
         cell = sample_categorical(np.concatenate([row, [rest]]), rng)

@@ -208,21 +208,25 @@ def clt_check(lambda_sequences, samples_per_level, rng,
 # named suite checks (the `verify` command)
 
 
+def _subset_count_fit(draw, subset, law, params, rng, description):
+    """Chi-square of the number of drawn points in ``subset`` against its
+    exact count law, over ``params["samples"]`` draws of ``draw(rng)``."""
+    n = int(params.get("samples", 20000))
+    sub = set(int(i) for i in subset)
+    counts = [sum(1 for p in draw(rng) if p in sub) for _ in range(n)]
+    return [chi_square_fit(counts_from_values(counts), law.pmf, tail_bound=law.tail_bound,
+                           description=description)]
+
+
 def _check_dpp_count_law(params, rng):
     from .dpp import count_pmf, sample_dpp
     from .kernels import HermitianKernel
 
     kernel = HermitianKernel.load(params["kernel"])
-    n = int(params.get("samples", 20000))
     subset = params.get("subset", list(range(kernel.size)))
-    law = count_pmf(kernel, subset)
-    sub = set(int(i) for i in subset)
-    draws = []
-    for _ in range(n):
-        config = sample_dpp(kernel, rng)
-        draws.append(sum(1 for p in config.points if p in sub))
-    return [chi_square_fit(counts_from_values(draws), law.pmf,
-                           description="determinantal subset counts vs Bernoulli convolution")]
+    return _subset_count_fit(lambda r: sample_dpp(kernel, r).points, subset,
+                             count_pmf(kernel, subset), params, rng,
+                             "determinantal subset counts vs Bernoulli convolution")
 
 
 def _check_perm_count_law(params, rng):
@@ -230,17 +234,11 @@ def _check_perm_count_law(params, rng):
     from .permanental import count_pmf_perm, sample_permanental
 
     kernel = HermitianKernel.load(params["kernel"])
-    n = int(params.get("samples", 20000))
-    n_max = int(params.get("nmax", 80))
     subset = params.get("subset", list(range(kernel.size)))
-    law = count_pmf_perm(kernel, subset, n_max)
-    sub = set(int(i) for i in subset)
-    draws = []
-    for _ in range(n):
-        config = sample_permanental(kernel, rng)
-        draws.append(sum(1 for p in config.points if p in sub))
-    return [chi_square_fit(counts_from_values(draws), law.pmf, tail_bound=law.tail_bound,
-                           description="permanental subset counts vs geometric convolution")]
+    law = count_pmf_perm(kernel, subset, int(params.get("nmax", 80)))
+    return _subset_count_fit(lambda r: sample_permanental(kernel, r).points, subset,
+                             law, params, rng,
+                             "permanental subset counts vs geometric convolution")
 
 
 def _check_categorical(params, rng):
@@ -253,36 +251,35 @@ def _check_categorical(params, rng):
                            description="categorical sampler frequencies")]
 
 
-def _check_kostlan(params, rng):
-    from .planar import ginibre_spec, sample_radial_moduli
+def _moduli_fits(spec, law, params, rng):
+    """KS fit of each term's squared modulus, over ``params["samples"]``
+    draws; ``law(k)`` gives the scipy name, its args and the description
+    for term k."""
+    from .planar import sample_radial_moduli
 
-    n = int(params["n"])
     n_samples = int(params.get("samples", 100000))
-    spec = ginibre_spec(n)
     draws = np.array([sample_radial_moduli(spec, rng) for _ in range(n_samples)])
     reports = []
-    for i in range(n):
-        reports.append(
-            ks_fit(draws[:, i], "gamma", args=(i + 1,),
-                   description=f"modulus^2 #{i + 1} vs gamma({i + 1}, 1)")
-        )
+    for k in range(len(spec.terms)):
+        name, args, description = law(k)
+        reports.append(ks_fit(draws[:, k], name, args=args, description=description))
     return reports
+
+
+def _check_kostlan(params, rng):
+    from .planar import ginibre_spec
+
+    return _moduli_fits(ginibre_spec(int(params["n"])),
+                        lambda k: ("gamma", (k + 1,), f"modulus^2 #{k + 1} vs gamma({k + 1}, 1)"),
+                        params, rng)
 
 
 def _check_gaf(params, rng):
-    from .planar import bergman_spec, sample_radial_moduli
+    from .planar import bergman_spec
 
-    n = int(params["n"])
-    n_samples = int(params.get("samples", 100000))
-    spec = bergman_spec(n)
-    draws = np.array([sample_radial_moduli(spec, rng) for _ in range(n_samples)])
-    reports = []
-    for k in range(n):
-        reports.append(
-            ks_fit(draws[:, k], "beta", args=(k + 1, 1),
-                   description=f"modulus^2 term {k} vs beta({k + 1}, 1)")
-        )
-    return reports
+    return _moduli_fits(bergman_spec(int(params["n"])),
+                        lambda k: ("beta", (k + 1, 1), f"modulus^2 term {k} vs beta({k + 1}, 1)"),
+                        params, rng)
 
 
 def _check_clt(params, rng):
@@ -300,17 +297,10 @@ def _check_ust_subset_counts(params, rng):
     from .ust import Graph, sample_ust, transfer_current_kernel
 
     graph = Graph.load(params["graph"])
-    n = int(params.get("samples", 20000))
     subset = params.get("subset", list(range((graph.n_edges + 1) // 2)))
-    kernel = transfer_current_kernel(graph)
-    law = count_pmf(kernel, subset)
-    sub = set(int(i) for i in subset)
-    draws = []
-    for _ in range(n):
-        tree = sample_ust(graph, rng)
-        draws.append(sum(1 for e in tree if e in sub))
-    return [chi_square_fit(counts_from_values(draws), law.pmf,
-                           description="spanning tree edge counts vs restricted-kernel law")]
+    law = count_pmf(transfer_current_kernel(graph), subset)
+    return _subset_count_fit(lambda r: sample_ust(graph, r), subset, law, params, rng,
+                             "spanning tree edge counts vs restricted-kernel law")
 
 
 _CHECKS = {

@@ -15,14 +15,16 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .core import CapacityError, DetpermError, GroundSet, SymmetryError
-
-HERMITIAN_TOL = 1e-10
-# Minors with a pivot below this (relative) threshold report determinant 0,
-# so repeated-point minors come out exactly zero.
-SINGULARITY_TOL = 1e-12
+from .core import (
+    EIGENVALUE_TOL,
+    HERMITIAN_TOL,
+    SINGULARITY_TOL,
+    CapacityError,
+    DetpermError,
+    GroundSet,
+    SymmetryError,
+)
 
 PERMANENT_CAP = 20  # Ryser is O(2^n n)
 ALPHA_DET_CAP = 9   # explicit S_n iteration
@@ -163,7 +165,7 @@ class KernelVerdict:
         return self.valid
 
 
-def validate_determinantal(kernel, ground=None, tol=None):
+def validate_determinantal(kernel, ground=None):
     """Decide whether a kernel can carry a determinantal process.
 
     Valid iff the matrix is Hermitian and every eigenvalue (in the
@@ -172,9 +174,6 @@ def validate_determinantal(kernel, ground=None, tol=None):
     that non-Hermitian input yields an invalid verdict instead of an error.
     Non-finite or non-square input is malformed and raises.
     """
-    from .core import EIGENVALUE_TOL
-
-    tol = EIGENVALUE_TOL if tol is None else tol
     if not isinstance(kernel, HermitianKernel):
         m = np.asarray(kernel, dtype=complex)
         try:
@@ -185,10 +184,10 @@ def validate_determinantal(kernel, ground=None, tol=None):
             ground = GroundSet.uniform(m.shape[0])
         kernel = HermitianKernel(m, ground)
     vals = spectrum(kernel).eigenvalues
-    if vals.size and vals.max() > 1 + tol:
+    if vals.size and vals.max() > 1 + EIGENVALUE_TOL:
         lam = float(vals.max())
         return KernelVerdict(False, f"eigenvalue {lam!r} above 1", lam)
-    if vals.size and vals.min() < -tol:
+    if vals.size and vals.min() < -EIGENVALUE_TOL:
         lam = float(vals.min())
         return KernelVerdict(False, f"eigenvalue {lam!r} below 0", lam)
     return KernelVerdict(True)
@@ -273,25 +272,6 @@ def alpha_det(matrix, alpha):
     return complex(total)
 
 
-def _lu_det(matrix):
-    """Determinant via pivoted LU; pivots below SINGULARITY_TOL (relative)
-    report an exact zero."""
-    m = np.asarray(matrix, dtype=complex)
-    n = m.shape[0]
-    if n == 0:
-        return complex(1.0)
-    lu, piv = scipy.linalg.lu_factor(m, check_finite=False)
-    diag = np.diag(lu)
-    scale = max(1.0, float(np.abs(m).max()))
-    if np.any(np.abs(diag) < SINGULARITY_TOL * scale):
-        return complex(0.0)
-    sign = 1.0
-    for i, p in enumerate(piv):
-        if p != i:
-            sign = -sign
-    return complex(sign * np.prod(diag))
-
-
 def joint_intensity(kernel, points, kind="determinantal", alpha=None):
     """Joint intensity of a point tuple: the determinant, permanent or
     alpha-determinant of the corresponding kernel minor.
@@ -306,7 +286,9 @@ def joint_intensity(kernel, points, kind="determinantal", alpha=None):
     if kind == "determinantal":
         if len(set(idx)) != len(idx):
             return 0.0
-        value = _lu_det(minor)
+        value = complex(np.linalg.det(minor))
+        if abs(value) <= SINGULARITY_TOL * np.prod(np.linalg.norm(minor, axis=1)):
+            value = complex(0.0)
     elif kind == "permanental":
         value = permanent(minor)
     elif kind == "alpha":

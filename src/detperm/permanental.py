@@ -13,37 +13,19 @@ states whose densities are squared permanents.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
     CountDistribution,
     DetpermError,
-    InvalidEigenvalueError,
     PointConfiguration,
     clamp_nonnegative,
     geometric_sum_pmf,
     sample_geometric,
     sample_poisson_array,
 )
-from .kernels import Spectrum, permanent, restrict, spectrum
-
-
-@dataclass(frozen=True)
-class GaussianField:
-    """One realization of the Gaussian field: coefficients a_k against the
-    eigenfunctions, with values F(x) = sum_k sqrt(lambda_k) a_k phi_k(x)."""
-
-    coefficients: np.ndarray
-    spectrum: Spectrum
-
-    def values(self):
-        lams = clamp_nonnegative(self.spectrum.eigenvalues)
-        out = self.spectrum.eigenvectors @ (np.sqrt(lams) * self.coefficients)
-        if not np.all(np.isfinite(out.view(float))):
-            raise DetpermError("Gaussian field value is not finite")
-        return out
+from .kernels import permanent, restrict, spectrum
 
 
 def standard_complex_normal(rng, size=None):
@@ -52,31 +34,19 @@ def standard_complex_normal(rng, size=None):
     return rng.normal(scale=scale, size=size) + 1j * rng.normal(scale=scale, size=size)
 
 
-def draw_gaussian_field(spec, rng):
-    coeffs = standard_complex_normal(rng, size=spec.size)
-    return GaussianField(coeffs, spec)
-
-
-def _psd_spectrum(kernel):
-    spec = spectrum(kernel)
-    if spec.eigenvalues.size and spec.eigenvalues.min() < -1e-9:
-        raise InvalidEigenvalueError(
-            f"kernel is not PSD: eigenvalue {spec.eigenvalues.min()!r}"
-        )
-    return spec
-
-
 def sample_permanental(kernel, rng):
     """Draw one permanental sample (a multiset of atoms; a single atom may
-    carry several points)."""
-    spec = _psd_spectrum(kernel)
-    field = draw_gaussian_field(spec, rng)
-    intensity = np.abs(field.values()) ** 2 * kernel.ground.weights
-    counts = sample_poisson_array(intensity, rng)
-    points = []
-    for atom, c in enumerate(counts):
-        points.extend([atom] * int(c))
-    return PointConfiguration(tuple(points), simple=False)
+    carry several points): the field F = sum_k sqrt(lambda_k) a_k phi_k,
+    with one standard complex normal a_k per eigenfunction in descending
+    eigenvalue order, then a Poisson count of mean mu(x) |F(x)|^2 per atom."""
+    spec = spectrum(kernel)
+    lams = clamp_nonnegative(spec.eigenvalues)
+    coeffs = standard_complex_normal(rng, size=len(lams))
+    field = spec.eigenvectors @ (np.sqrt(lams) * coeffs)
+    if not np.all(np.isfinite(field.view(float))):
+        raise DetpermError("Gaussian field value is not finite")
+    counts = sample_poisson_array(np.abs(field) ** 2 * kernel.ground.weights, rng)
+    return PointConfiguration(np.repeat(np.arange(len(counts)), counts), simple=False)
 
 
 def count_pmf_perm(kernel, subset, n_max):
@@ -123,8 +93,7 @@ def sample_mixture_label(kernel, rng):
     """Draw the occupancy vector (one geometric count per eigenvalue, in
     descending eigenvalue order) that selects a fixed-occupancy component
     of the permanental mixture."""
-    spec = _psd_spectrum(kernel)
-    lams = clamp_nonnegative(spec.eigenvalues)
+    lams = clamp_nonnegative(spectrum(kernel).eigenvalues)
     return np.array([sample_geometric(lam, rng) for lam in lams], dtype=np.int64)
 
 

@@ -24,15 +24,18 @@ import numpy as np
 from scipy.special import gammainc, gammaln
 
 from .core import (
+    EIGENVALUE_TOL,
+    NORMALIZATION_TOL,
     DetpermError,
     DiscretizationError,
     GroundSet,
     ParameterError,
-    clamp_unit_interval,
+    PointConfiguration,
+    sample_poisson_array,
 )
-from .kernels import HermitianKernel, spectrum
-
-NORMALIZATION_TOL = 1e-8
+from .dpp import sample_dpp
+from .kernels import HermitianKernel, Spectrum, spectrum
+from .permanental import sample_permanental
 
 
 class _GaussianBase:
@@ -129,7 +132,7 @@ class RadialKernelSpec:
         for t in terms:
             if t.degree < 0:
                 raise DetpermError("term degree must be non-negative")
-            if not (-1e-9 <= t.weight <= 1 + 1e-9):
+            if not (-EIGENVALUE_TOL <= t.weight <= 1 + EIGENVALUE_TOL):
                 raise DetpermError(f"term weight {t.weight!r} outside [0, 1]")
             if t.norm_sq <= 0:
                 raise DetpermError("term normalizer must be positive")
@@ -266,18 +269,29 @@ def discretize_radial_kernel(spec, h, radius, max_clamp=0.05):
         raise DiscretizationError(
             f"eigenvalue clamp {clamp:.3g} exceeds {max_clamp}; refine the grid"
         )
-    clamped = clamp_unit_interval(vals, tol=np.inf)
+    clamped = np.clip(vals, 0.0, 1.0)
     matrix = (spec_k.eigenvectors * clamped) @ spec_k.eigenvectors.conj().T
     matrix = (matrix + matrix.conj().T) / 2
     kernel = HermitianKernel(matrix, ground)
     # the clamped decomposition is already in hand; seed the cache so
     # samplers do not repeat the O(n^3) eigensolve
-    from .kernels import Spectrum
-
     object.__setattr__(
         kernel, "_spectrum_cache", Spectrum(clamped, spec_k.eigenvectors, ground)
     )
     return kernel, clamp
+
+
+def sample_clouds(kernel, rng):
+    """Draw the point-cloud trio on one kernel, keyed by process name and
+    in this order: the independent (Poisson) cloud with the kernel's
+    diagonal intensity, then the determinantal and the permanental cloud."""
+    means = np.real(np.diag(kernel.matrix)) * kernel.ground.weights
+    counts = sample_poisson_array(means, rng)
+    return {
+        "poisson": PointConfiguration(np.repeat(np.arange(len(counts)), counts), simple=False),
+        "determinantal": sample_dpp(kernel, rng),
+        "permanental": sample_permanental(kernel, rng),
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -44,8 +44,8 @@ class Graph:
             raise GraphError("vertex labels must be distinct")
         if cond.shape != (len(edges),):
             raise GraphError("one conductance per edge required")
-        if len(edges) and not np.all(cond > 0):
-            raise GraphError("conductances must be strictly positive")
+        if not np.all((cond > 0) & np.isfinite(cond)):
+            raise GraphError("conductances must be finite and strictly positive")
         vset = set(vertices)
         for u, v in edges:
             if u not in vset or v not in vset:

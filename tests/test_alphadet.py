@@ -100,6 +100,24 @@ class TestSampleAlpha:
         np.testing.assert_allclose(derived.reconstruct(), k.matrix / 3, atol=1e-12)
 
 
+    def test_scaled_kernel_built_once_per_factor(self, rng, monkeypatch):
+        from detperm import kernels
+
+        calls = []
+        check = kernels._check_hermitian
+
+        def counted(matrix):
+            calls.append(1)
+            return check(matrix)
+
+        k = kernel_from_spectrum(dp.GroundSet.uniform(5), [0.9, 0.6, 0.3], rng)
+        monkeypatch.setattr(kernels, "_check_hermitian", counted)
+        for _ in range(50):
+            dp.sample_alpha(k, -0.5, rng)
+        assert len(calls) == 1
+        assert scaled_kernel(k, 0.5) is scaled_kernel(k, 0.5)
+
+
 class TestAlphaCountPmf:
     def test_reduces_to_bernoulli_convolution(self, rng):
         lams = [0.2, 0.5, 0.9]

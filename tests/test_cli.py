@@ -196,6 +196,12 @@ class TestUstCommand:
         assert len(lines) == 4
         assert all(len(line.split()) == 3 for line in lines)
 
+    def test_non_finite_conductance_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "inf.txt"
+        path.write_text("a b\nb c inf\n")
+        assert main(["ust", "sample", "--graph", str(path), "--seed", "0"]) == 2
+        assert "conductances must be finite and strictly positive" in capsys.readouterr().err
+
 
 class TestVerifyCommand:
     def test_passing_suite(self, tmp_path, capsys):

@@ -12,7 +12,6 @@ from detperm.core import (
     InvalidEigenvalueError,
     ParameterError,
     sample_geometric,
-    sample_poisson,
     sample_poisson_array,
 )
 
@@ -139,46 +138,23 @@ class TestCategorical:
             dp.sample_categorical([bad, 1.0, 2.0], rng)
 
 
-class TestGammaBeta:
-    def test_gamma_one_is_exponential(self, rng):
-        n = 100000
-        draws = [dp.sample_gamma(1.0, rng) for _ in range(n)]
-        assert abs(np.mean(draws) - 1.0) < 3.0 / math.sqrt(n)
-
-    def test_beta_uniform(self, rng):
-        draws = [dp.sample_beta(1.0, 1.0, rng) for _ in range(20000)]
-        report = dp.ks_fit(draws, "uniform")
-        assert report.passed
-
-    def test_beta_k_plus_one_matches_power_of_uniform(self, rng):
-        # both beta(k+1, 1) draws and U^(1/(k+1)) have CDF t -> t^(k+1)
-        k = 3
-        n = 100000
-        direct = np.array([dp.sample_beta(k + 1, 1.0, rng) for _ in range(n)])
-        via_uniform = rng.random(n) ** (1.0 / (k + 1))
-        cdf = lambda t: np.clip(t, 0, 1) ** (k + 1)
-        assert dp.ks_fit(direct, cdf).passed
-        assert dp.ks_fit(via_uniform, cdf).passed
-
-    def test_parameter_validation(self, rng):
-        with pytest.raises(ParameterError):
-            dp.sample_gamma(0.0, rng)
-        with pytest.raises(ParameterError):
-            dp.sample_beta(1.0, -2.0, rng)
-
-
 class TestPoissonGeometric:
     def test_poisson_small_mean_chi_square(self, rng):
         mean = 2.5
-        draws = [sample_poisson(mean, rng) for _ in range(50000)]
+        draws = sample_poisson_array(np.full(50000, mean), rng)
         pmf = stats.poisson.pmf(np.arange(20), mean)
         report = dp.chi_square_fit(tabulate(draws, 20), pmf)
         assert report.p_value > ALPHA
 
     def test_poisson_large_mean_moments(self, rng):
         mean = 45.0
-        draws = np.array([sample_poisson(mean, rng) for _ in range(20000)])
+        draws = sample_poisson_array(np.full(20000, mean), rng)
         assert abs(draws.mean() - mean) < 4 * math.sqrt(mean / 20000)
+
+    @pytest.mark.parametrize("bad", [-0.5, np.nan])
+    def test_poisson_rejects_bad_means(self, bad, rng):
+        with pytest.raises(ParameterError):
+            sample_poisson_array([1.0, bad], rng)
 
     def test_poisson_array_matches_scalar_law(self, rng):
         means = np.array([0.3, 4.0, 31.0])
@@ -200,8 +176,6 @@ class TestReproducibility:
         draws_a = [dp.sample_categorical([1, 2, 3], a) for _ in range(100)]
         draws_b = [dp.sample_categorical([1, 2, 3], b) for _ in range(100)]
         assert draws_a == draws_b
-        assert dp.sample_gamma(2.5, a) == dp.sample_gamma(2.5, b)
-        assert dp.sample_beta(3.0, 1.0, a) == dp.sample_beta(3.0, 1.0, b)
 
     def test_split_streams_are_distinct_and_reproducible(self):
         kids1 = dp.split(dp.stream(9), 3)

@@ -171,6 +171,17 @@ class TestJointIntensity:
         assert dp.joint_intensity(k, [2, 2]) == 0.0
         assert dp.joint_intensity(k, [0, 1, 0]) == 0.0
 
+    def test_rank_plus_one_points_of_projection_are_exact_zero(self, rng):
+        # the zero test is relative to Hadamard's bound, so scaling the
+        # kernel down keeps the rank-r intensities and the exact zeros
+        proj = projection_from_rank(dp.GroundSet.uniform(5), 2, rng)
+        for scale in (1.0, 1e-6):
+            k = dp.HermitianKernel(scale * proj.matrix, proj.ground)
+            for triple in itertools.combinations(range(5), 3):
+                assert dp.joint_intensity(k, triple) == 0.0
+            for pair in itertools.combinations(range(5), 2):
+                assert dp.joint_intensity(k, pair) > 0.0
+
     def test_ordered_pair_sum_for_rank2_projection(self, rng):
         # second factorial moment of a 2-point process is n(n-1) = 2
         ground = dp.GroundSet(tuple(range(4)), rng.uniform(0.3, 2.0, size=4))

@@ -194,6 +194,24 @@ class TestDiscretization:
         assert report.p_value > ALPHA, report
 
 
+class TestSampleClouds:
+    def test_reproducible_and_drawn_in_order(self):
+        kernel, _ = dp.discretize_radial_kernel(dp.ginibre_spec(3), 0.5, 2.5)
+        a = dp.sample_clouds(kernel, dp.stream(3))
+        b = dp.sample_clouds(kernel, dp.stream(3))
+        assert list(a) == ["poisson", "determinantal", "permanental"]
+        assert a == b
+        assert not a["poisson"].simple and a["determinantal"].simple
+        assert not a["permanental"].simple
+        rng = dp.stream(3)
+        means = np.real(np.diag(kernel.matrix)) * kernel.ground.weights
+        counts = rng.poisson(means)
+        assert a["poisson"].multiplicities() == {
+            i: int(c) for i, c in enumerate(counts) if c
+        }
+        assert a["determinantal"] == dp.sample_dpp(kernel, rng)
+
+
 class TestTorusMoment:
     def test_plain_density_examples(self):
         one = dp.LaurentPoly({(0,): 1.0}, 1)

@@ -53,6 +53,11 @@ class TestGraph:
         with pytest.raises(GraphError):
             Graph.from_edge_list("a b -1.0")  # bad conductance
 
+    @pytest.mark.parametrize("bad", ["inf", "nan"])
+    def test_non_finite_conductance_rejected(self, bad):
+        with pytest.raises(GraphError, match="finite and strictly positive"):
+            Graph.from_edge_list(f"a b\nb c {bad}")
+
     def test_parallel_edges_allowed(self):
         g = Graph.from_edge_list("a b\na b\nb c")
         assert g.n_edges == 3
