@@ -81,12 +81,17 @@ def _require_supported(alpha):
 
 def scaled_kernel(kernel, factor):
     """factor * K for a positive factor, built once per factor and cached
-    on K.  Its spectrum is derived from K's, not recomputed: the same
-    eigenfunctions, the eigenvalues times the factor, still in descending
-    order."""
+    on K; a factored K keeps its factor and scales its coefficients.  Its
+    spectrum is derived from K's, not recomputed: the same eigenfunctions,
+    the eigenvalues times the factor, still in descending order."""
     cache = kernel.__dict__.setdefault("_scaled_cache", {})
     if factor not in cache:
-        scaled = HermitianKernel(factor * kernel.matrix, kernel.ground)
+        if kernel.factor is None:
+            scaled = HermitianKernel(factor * kernel.matrix, kernel.ground)
+        else:
+            scaled = HermitianKernel.from_factor(
+                kernel.factor, factor * kernel.coefficients, kernel.ground
+            )
         spec = spectrum(kernel)
         derived = Spectrum(factor * spec.eigenvalues, spec.eigenvectors, spec.ground)
         object.__setattr__(scaled, "_spectrum_cache", derived)

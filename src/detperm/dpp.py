@@ -47,6 +47,12 @@ from .core import (
 from .kernels import HermitianKernel, restrict, spectrum, validate_determinantal
 
 
+def _check_orthonormal(rows, weights):
+    gram = (rows * weights) @ rows.conj().T
+    if rows.shape[0] and not np.abs(gram - np.eye(rows.shape[0])).max() <= ORTHONORMALITY_TOL:
+        raise DetpermError("basis rows are not orthonormal under the weights")
+
+
 @dataclass(frozen=True)
 class ProjectionBasis:
     """Rows are weighted-orthonormal functions spanning the range of a
@@ -60,10 +66,7 @@ class ProjectionBasis:
         if f.ndim != 2 or f.shape[1] != self.ground.size:
             raise DetpermError("basis must be rank x ground-size")
         object.__setattr__(self, "functions", f)
-        w = self.ground.weights
-        gram = (f * w) @ f.conj().T
-        if f.shape[0] and not np.abs(gram - np.eye(f.shape[0])).max() <= ORTHONORMALITY_TOL:
-            raise DetpermError("basis rows are not orthonormal under the weights")
+        _check_orthonormal(f, self.ground.weights)
 
     @property
     def rank(self):
@@ -78,9 +81,16 @@ class ProjectionBasis:
 
     @staticmethod
     def from_spectrum(spec, indices):
-        """Basis from selected eigenfunction columns of a spectrum."""
-        rows = spec.eigenvectors[:, list(indices)].T
-        return ProjectionBasis(rows, spec.ground)
+        """Basis from selected eigenfunction columns of a spectrum.  Columns
+        picked from an orthonormal set stay orthonormal, so the check runs
+        once per spectrum, over all its columns, not once per basis."""
+        if not getattr(spec, "_orthonormal", False):
+            _check_orthonormal(spec.eigenvectors.T, spec.ground.weights)
+            object.__setattr__(spec, "_orthonormal", True)
+        basis = object.__new__(ProjectionBasis)
+        object.__setattr__(basis, "functions", spec.eigenvectors[:, list(indices)].T)
+        object.__setattr__(basis, "ground", spec.ground)
+        return basis
 
     @staticmethod
     def from_kernel(kernel):

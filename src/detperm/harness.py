@@ -157,15 +157,20 @@ def ks_fit(samples, cdf, args=(), significance=DEFAULT_SIGNIFICANCE,
                       float(p) > significance, significance)
 
 
-def clt_check(lambda_sequences, samples_per_level, rng,
-              final_ks_bound=0.02, min_final_variance=50.0):
+def clt_check(lambda_sequences, samples_per_level, rng):
     """Standardized-count normality across levels of growing variance.
 
     Each level's counts are sampled as sums of independent Bernoulli
-    indicators and standardized with their exact mean and variance; the
-    check passes when the KS distance to the standard normal decreases
-    strictly across levels and the final level (which must have variance
-    at least ``min_final_variance``) lands below ``final_ks_bound``.
+    indicators and standardized with their exact mean and variance.  With
+    L levels, each level is tested at significance DEFAULT_SIGNIFICANCE / L
+    and must meet two conditions.  Its counts fit the exact Bernoulli
+    convolution of its lambdas (chi-square).  Its KS distance to the
+    standard normal is at most the Berry-Esseen bound 0.56 sum_i rho_i /
+    sigma^3 (Shevtsova 2010), where rho_i = lambda_i (1 - lambda_i)
+    (lambda_i^2 + (1 - lambda_i)^2) is the third absolute central moment of
+    indicator i, plus the DKW band sqrt(ln(2 L / DEFAULT_SIGNIFICANCE) / (2 n))
+    of the empirical CDF of n draws.  ``details["failed"]`` names each
+    failed condition and its level.
     """
     seqs = [np.asarray(s, dtype=float) for s in lambda_sequences]
     if len(seqs) < 3:
@@ -174,8 +179,10 @@ def clt_check(lambda_sequences, samples_per_level, rng,
     variances = [float((s * (1 - s)).sum()) for s in seqs]
     if any(b <= a for a, b in zip(variances, variances[1:])):
         raise ParameterError("level variances must be strictly increasing")
-    ks_stats = []
-    for lams, mu, var in zip(seqs, means, variances):
+    level_significance = DEFAULT_SIGNIFICANCE / len(seqs)
+    band = math.sqrt(math.log(2 / level_significance) / (2 * samples_per_level))
+    ks_stats, ks_bounds, chi_square_p, failed = [], [], [], []
+    for level, (lams, mu, var) in enumerate(zip(seqs, means, variances)):
         counts = np.empty(samples_per_level, dtype=np.int64)
         block = max(1, int(4_000_000 // max(len(lams), 1)))
         done = 0
@@ -187,19 +194,30 @@ def clt_check(lambda_sequences, samples_per_level, rng,
         z = (counts - mu) / math.sqrt(var)
         stat, _ = stats.kstest(z, "norm")
         ks_stats.append(float(stat))
-    decreasing = all(b < a for a, b in zip(ks_stats, ks_stats[1:]))
-    passed = decreasing and ks_stats[-1] < final_ks_bound and variances[-1] >= min_final_variance
+        rho = float((lams * (1 - lams) * (lams**2 + (1 - lams) ** 2)).sum())
+        ks_bounds.append(0.56 * rho / var**1.5 + band)
+        fit = chi_square_fit(counts_from_values(counts), bernoulli_sum_pmf(lams).pmf,
+                             significance=level_significance)
+        chi_square_p.append(fit.p_value)
+        if not fit.passed:
+            failed.append(f"level {level}: counts do not fit the Bernoulli convolution "
+                          f"(chi-square p {fit.p_value:.3g} <= {level_significance:.3g})")
+        if not ks_stats[-1] <= ks_bounds[-1]:
+            failed.append(f"level {level}: KS distance {ks_stats[-1]:.4g} above the "
+                          f"Berry-Esseen plus DKW bound {ks_bounds[-1]:.4g}")
     return TestReport(
         "count CLT across increasing-variance levels",
         ks_stats[-1],
         None,
         int(samples_per_level * len(seqs)),
-        passed,
+        not failed,
         DEFAULT_SIGNIFICANCE,
         {
             "ks_per_level": ks_stats,
             "variance_per_level": variances,
-            "final_ks_bound": final_ks_bound,
+            "ks_bound_per_level": ks_bounds,
+            "chi_square_p_per_level": chi_square_p,
+            **({"failed": failed} if failed else {}),
         },
     )
 

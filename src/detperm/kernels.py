@@ -4,8 +4,9 @@ intensities.
 
 All spectral computations work in the weighted inner product
 ``<f, g> = sum_x f(x) conj(g(x)) mu(x)`` induced by the ground set, by
-symmetrizing with W^(1/2) on both sides before calling a dense Hermitian
-eigensolver.
+symmetrizing with W^(1/2) on both sides before calling a Hermitian
+eigensolver: on the n x n matrix of a dense kernel, or on the d x d Gram
+side of a rank-d factored one.
 """
 
 from __future__ import annotations
@@ -43,18 +44,68 @@ def _check_hermitian(matrix):
     return m
 
 
-@dataclass(frozen=True)
 class HermitianKernel:
-    """An n x n Hermitian matrix of kernel values over a ground set."""
+    """A Hermitian kernel over a ground set, held dense or factored.
 
-    matrix: np.ndarray
-    ground: GroundSet
+    ``HermitianKernel(matrix, ground)`` holds the n x n matrix.
+    ``HermitianKernel.from_factor(factor, coefficients, ground)`` holds
+    K = F diag(c) F* for an n x d factor F and real coefficients c: its
+    spectrum costs O(n d^2), and its dense matrix is built on the first
+    read of ``.matrix`` and cached.  A kernel is not modified after
+    construction, so derived results are cached on it.
+    """
 
-    def __post_init__(self):
-        m = _check_hermitian(self.matrix)
-        object.__setattr__(self, "matrix", m)
-        if m.shape[0] != self.ground.size:
+    def __init__(self, matrix, ground):
+        m = _check_hermitian(matrix)
+        if m.shape[0] != ground.size:
             raise DetpermError("kernel size does not match ground set size")
+        self.ground = ground
+        self.factor = None
+        self.coefficients = None
+        self._matrix = m
+
+    @staticmethod
+    def from_factor(factor, coefficients, ground):
+        """The kernel F diag(c) F*, Hermitian by construction: F must be
+        finite with one row per atom, c finite and real."""
+        f = np.asarray(factor, dtype=complex)
+        c = np.asarray(coefficients)
+        if np.iscomplexobj(c):
+            raise DetpermError("factor coefficients must be real")
+        c = c.astype(float)
+        if f.ndim != 2 or f.shape[0] != ground.size or c.shape != (f.shape[1],):
+            raise DetpermError(
+                f"factor must be ground size {ground.size} x d with d coefficients, "
+                f"got {f.shape} and {c.shape}"
+            )
+        if not (np.isfinite(f).all() and np.isfinite(c).all()):
+            raise DetpermError("kernel factor has non-finite entries")
+        kernel = object.__new__(HermitianKernel)
+        kernel.ground, kernel.factor, kernel.coefficients = ground, f, c
+        kernel._matrix = None
+        return kernel
+
+    @property
+    def matrix(self):
+        """The dense n x n matrix; a factored kernel builds it on first read."""
+        if self._matrix is None:
+            f = self.factor
+            self._matrix = (f * self.coefficients) @ f.conj().T
+        return self._matrix
+
+    def minor(self, idx):
+        """The submatrix on rows and columns ``idx`` (repeats allowed),
+        read from the factor rows when the kernel is factored."""
+        if self.factor is None:
+            return self._matrix[np.ix_(idx, idx)]
+        f = self.factor[idx]
+        return (f * self.coefficients) @ f.conj().T
+
+    def diagonal(self):
+        """The real diagonal K(x, x), from the factor's row norms when factored."""
+        if self.factor is None:
+            return np.real(np.diag(self._matrix))
+        return (self.factor.real**2 + self.factor.imag**2) @ self.coefficients
 
     @property
     def size(self):
@@ -129,28 +180,36 @@ class Spectrum:
 def spectrum(kernel):
     """Eigendecompose a kernel in the weighted inner product.
 
-    Solves the symmetrized problem W^(1/2) K W^(1/2) and un-weights the
-    eigenvectors, so columns of the result are orthonormal against the
+    A dense kernel solves the symmetrized problem W^(1/2) K W^(1/2).  A
+    factored one works on the d x d Gram side instead, at O(n d^2): with
+    the thin QR W^(1/2) F = Q R, the symmetrized kernel is
+    Q (R diag(c) R*) Q*, so it has exactly min(n, d) eigenpairs, and no
+    cut-off decides which eigenvalues count as zero.  The eigenvectors are
+    un-weighted, so columns of the result are orthonormal against the
     ground weights and the kernel reconstructs as
     sum_k lambda_k phi_k(x) conj(phi_k(y)).  The decomposition is cached
-    on the (immutable) kernel object, so repeated sampling from one kernel
-    pays for it once.
+    on the kernel object, so repeated sampling from one kernel pays for
+    it once.
     """
     cached = getattr(kernel, "_spectrum_cache", None)
     if cached is not None:
         return cached
-    w = kernel.ground.weights
-    s = np.sqrt(w)
-    b = s[:, None] * kernel.matrix * s[None, :]
+    s = np.sqrt(kernel.ground.weights)
+    if kernel.factor is None:
+        q, b = None, s[:, None] * kernel.matrix * s[None, :]
+    else:
+        q, r = np.linalg.qr(s[:, None] * kernel.factor)
+        b = (r * kernel.coefficients) @ r.conj().T
     b = (b + b.conj().T) / 2
     try:
         vals, vecs = np.linalg.eigh(b)
     except np.linalg.LinAlgError as exc:
         raise DetpermError(f"eigensolver failed to converge: {exc}") from exc
     order = np.argsort(vals)[::-1]
-    vals = vals[order]
-    vecs = vecs[:, order] / s[:, None]
-    result = Spectrum(vals, vecs, kernel.ground)
+    vecs = vecs[:, order]
+    if q is not None:
+        vecs = q @ vecs
+    result = Spectrum(vals[order], vecs / s[:, None], kernel.ground)
     object.__setattr__(kernel, "_spectrum_cache", result)
     return result
 
@@ -194,7 +253,8 @@ def validate_determinantal(kernel, ground=None):
 
 
 def restrict(kernel, subset):
-    """Principal submatrix of the kernel on a subset of atoms."""
+    """The kernel on a subset of atoms: its principal submatrix, or the
+    factor's rows on the subset."""
     idx = [int(i) for i in subset]
     if len(set(idx)) != len(idx):
         raise DetpermError("restriction subset must have distinct indices")
@@ -204,7 +264,9 @@ def restrict(kernel, subset):
         tuple(kernel.ground.labels[i] for i in idx),
         kernel.ground.weights[idx],
     )
-    return HermitianKernel(kernel.matrix[np.ix_(idx, idx)], ground)
+    if kernel.factor is None:
+        return HermitianKernel(kernel.minor(idx), ground)
+    return HermitianKernel.from_factor(kernel.factor[idx], kernel.coefficients, ground)
 
 
 def permanent(matrix):
@@ -282,7 +344,7 @@ def joint_intensity(kernel, points, kind="determinantal", alpha=None):
     idx = [int(p) for p in points]
     if any(i < 0 or i >= kernel.size for i in idx):
         raise DetpermError("point index outside the ground set")
-    minor = kernel.matrix[np.ix_(idx, idx)]
+    minor = kernel.minor(idx)
     if kind == "determinantal":
         if len(set(idx)) != len(idx):
             return 0.0

@@ -243,10 +243,13 @@ def discretize_radial_kernel(spec, h, radius, max_clamp=0.05):
     bounding disk.
 
     Ground atoms are the cell centers (complex labels) weighted by cell
-    area times the base density; eigenvalues are clamped into [0, 1] and
-    the clamp magnitude is returned alongside.  A clamp beyond
-    ``max_clamp`` means the grid is too coarse to be trusted and raises.
-    Returns ``(kernel, clamp_magnitude)``.
+    area times the base density.  The kernel is factored, with rank d the
+    number of terms: F holds the monomials z^k at the centers and c the
+    coefficients lambda_k a_k^2.  Its d eigenvalues are clamped into
+    [0, 1] and the clamp magnitude is returned alongside; the returned
+    kernel is the factor of the eigenfunctions with the clamped
+    eigenvalues.  A clamp beyond ``max_clamp`` means the grid is too
+    coarse to be trusted and raises.  Returns ``(kernel, clamp_magnitude)``.
     """
     b = base_density(spec.base)
     radius = min(float(radius), b.support_radius)
@@ -257,11 +260,8 @@ def discretize_radial_kernel(spec, h, radius, max_clamp=0.05):
     keep = weights > 0
     centers, weights = centers[keep], weights[keep]
     ground = GroundSet(tuple(complex(z) for z in centers), weights)
-    coeff = spec.coefficients()
-    v = np.stack([centers ** t.degree for t in spec.terms])
-    matrix = (v.T * coeff) @ v.conj()
-    matrix = (matrix + matrix.conj().T) / 2
-    kernel = HermitianKernel(matrix, ground)
+    monomials = np.power.outer(centers, [t.degree for t in spec.terms])
+    kernel = HermitianKernel.from_factor(monomials, spec.coefficients(), ground)
     spec_k = spectrum(kernel)
     vals = spec_k.eigenvalues
     clamp = float(max(vals.max() - 1.0, 0.0) + max(-vals.min(), 0.0)) if vals.size else 0.0
@@ -270,11 +270,8 @@ def discretize_radial_kernel(spec, h, radius, max_clamp=0.05):
             f"eigenvalue clamp {clamp:.3g} exceeds {max_clamp}; refine the grid"
         )
     clamped = np.clip(vals, 0.0, 1.0)
-    matrix = (spec_k.eigenvectors * clamped) @ spec_k.eigenvectors.conj().T
-    matrix = (matrix + matrix.conj().T) / 2
-    kernel = HermitianKernel(matrix, ground)
-    # the clamped decomposition is already in hand; seed the cache so
-    # samplers do not repeat the O(n^3) eigensolve
+    kernel = HermitianKernel.from_factor(spec_k.eigenvectors, clamped, ground)
+    # the clamped decomposition is already in hand; seed the cache with it
     object.__setattr__(
         kernel, "_spectrum_cache", Spectrum(clamped, spec_k.eigenvectors, ground)
     )
@@ -285,7 +282,7 @@ def sample_clouds(kernel, rng):
     """Draw the point-cloud trio on one kernel, keyed by process name and
     in this order: the independent (Poisson) cloud with the kernel's
     diagonal intensity, then the determinantal and the permanental cloud."""
-    means = np.real(np.diag(kernel.matrix)) * kernel.ground.weights
+    means = kernel.diagonal() * kernel.ground.weights
     counts = sample_poisson_array(means, rng)
     return {
         "poisson": PointConfiguration(np.repeat(np.arange(len(counts)), counts), simple=False),

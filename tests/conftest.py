@@ -87,9 +87,10 @@ def tabulate(values, width=None):
     return np.bincount(v, minlength=(width or (v.max() + 1 if v.size else 1)))
 
 
-def projection_from_rank(ground, rank, rng):
+def projection_from_rank(ground, rank, rng, factored=False):
     """Random rank-r projection kernel on a ground set: orthonormalizes r
-    random rows in the weighted inner product."""
+    random rows in the weighted inner product.  ``factored`` holds it as
+    the factor of those rows instead of the dense matrix."""
     n = ground.size
     if rank > n:
         raise dp.DetpermError("rank cannot exceed the ground size")
@@ -103,12 +104,15 @@ def projection_from_rank(ground, rank, rng):
         nrm = math.sqrt(float((np.abs(v) ** 2 * w).sum()))
         rows.append(v / nrm)
     b = np.array(rows) if rows else np.zeros((0, n), dtype=complex)
+    if factored:
+        return dp.HermitianKernel.from_factor(b.T, np.ones(rank), ground)
     return dp.HermitianKernel(b.T @ b.conj(), ground)
 
 
-def kernel_from_spectrum(ground, eigenvalues, rng):
+def kernel_from_spectrum(ground, eigenvalues, rng, factored=False):
     """Kernel with prescribed eigenvalues and a random weighted-orthonormal
-    eigenbasis."""
+    eigenbasis.  ``factored`` holds it as the factor of that basis with the
+    zero-padded eigenvalues instead of the dense matrix."""
     lams = np.asarray(eigenvalues, dtype=float)
     n = ground.size
     if len(lams) > n:
@@ -116,6 +120,30 @@ def kernel_from_spectrum(ground, eigenvalues, rng):
     lams = np.concatenate([lams, np.zeros(n - len(lams))])
     proj = projection_from_rank(ground, n, rng)  # full basis
     basis = dp.spectrum(proj).eigenvectors  # columns orthonormal under weights
+    if factored:
+        return dp.HermitianKernel.from_factor(basis, lams, ground)
     matrix = (basis * lams) @ basis.conj().T
     matrix = (matrix + matrix.conj().T) / 2
     return dp.HermitianKernel(matrix, ground)
+
+
+def assert_spectra_agree(dense, factored, tol=1e-10, gap=1e-6):
+    """A factored spectrum against the dense spectrum of the same kernel:
+    the eigenvalues zero-padded to the ground size, and the weighted
+    projector onto each cluster of nonzero eigenvalues.  Neighbours closer
+    than ``gap`` share a cluster, since their eigenvectors are not
+    separately well determined."""
+    padded = np.concatenate([factored.eigenvalues, np.zeros(dense.size - factored.size)])
+    np.testing.assert_allclose(np.sort(padded), np.sort(dense.eigenvalues), rtol=0, atol=tol)
+    s = np.sqrt(dense.ground.weights)[:, None]
+
+    def projector(spec, lo, hi):
+        cols = s * spec.eigenvectors[:, (spec.eigenvalues >= lo) & (spec.eigenvalues <= hi)]
+        return cols @ cols.conj().T
+
+    vals = factored.eigenvalues[np.abs(factored.eigenvalues) > gap]
+    clusters = np.split(vals, np.nonzero(np.abs(np.diff(vals)) > gap)[0] + 1) if vals.size else []
+    for cluster in clusters:
+        lo, hi = cluster.min() - gap / 2, cluster.max() + gap / 2
+        np.testing.assert_allclose(projector(factored, lo, hi), projector(dense, lo, hi),
+                                   rtol=0, atol=tol)

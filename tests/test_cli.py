@@ -217,20 +217,25 @@ class TestVerifyCommand:
         report = json.loads(capsys.readouterr().out)
         assert report["passed"] is True
 
-    def test_failing_suite_exits_one(self, tmp_path, kernel_file, capsys):
-        # claim the kernel's counts follow the wrong subset's law
+    def test_failing_suite_exits_one(self, tmp_path, monkeypatch, capsys):
+        # a categorical sampler that returns index 0 on a tenth of its draws
+        # regardless of the weights fails its frequency check
+        from detperm import core
+
+        draw = core.sample_categorical
+        monkeypatch.setattr(core, "sample_categorical",
+                            lambda w, rng: 0 if rng.random() < 0.1 else draw(w, rng))
         suite = tmp_path / "suite.json"
         suite.write_text(
             json.dumps(
                 {"checks": [
-                    {"type": "clt",
-                     "levels": [[0.5] * 4, [0.5] * 8, [0.5] * 16],
-                     "samples": 4000}
+                    {"type": "categorical", "weights": [1, 1, 2], "samples": 20000}
                 ]}
             )
         )
-        # final variance 4 < 50, so the check cannot pass
         assert main(["verify", "--suite", str(suite), "--seed", "4"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["passed"] is False
 
     def test_every_line_is_strict_json(self, capsys):
         def reject(constant):

@@ -250,3 +250,30 @@ class TestProjectionBasis:
     def test_idempotence_check(self, rank2_basis):
         k = rank2_basis.kernel_matrix()
         np.testing.assert_allclose((k * rank2_basis.ground.weights) @ k, k, atol=1e-6)
+
+    def test_spectrum_orthonormality_checked_once(self, rng, monkeypatch):
+        from detperm import dpp
+
+        calls = []
+        check = dpp._check_orthonormal
+
+        def counted(rows, weights):
+            calls.append(1)
+            return check(rows, weights)
+
+        monkeypatch.setattr(dpp, "_check_orthonormal", counted)
+        ground = dp.GroundSet(tuple(range(6)), rng.uniform(0.5, 2.0, size=6))
+        kernel = kernel_from_spectrum(ground, [0.9, 0.7, 0.5], rng, factored=True)
+        for _ in range(50):
+            dp.sample_dpp(kernel, rng)
+        assert len(calls) == 1
+
+    def test_corrupted_cached_spectrum_is_caught(self, rng):
+        ground = dp.GroundSet(tuple(range(6)), rng.uniform(0.5, 2.0, size=6))
+        kernel = kernel_from_spectrum(ground, [0.9, 0.7, 0.5], rng, factored=True)
+        spec = dp.spectrum(kernel)
+        vecs = spec.eigenvectors.copy()
+        vecs[:, 1] *= 1.01
+        object.__setattr__(kernel, "_spectrum_cache", dp.Spectrum(spec.eigenvalues, vecs, ground))
+        with pytest.raises(dp.DetpermError, match="orthonormal"):
+            dp.sample_dpp(kernel, rng)

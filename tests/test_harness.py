@@ -110,6 +110,32 @@ class TestCltCheck:
         assert report.details["variance_per_level"][-1] >= 50
         assert report.statistic < 0.02
 
+    def test_biased_stream_fails_at_every_level(self):
+        # mutation: indicators drawn at p = 0.52 but standardized as 0.5
+        class Biased:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def random(self, size):
+                return self.rng.random(size) - 0.02
+
+        levels = [[0.5] * 16, [0.5] * 128, [0.5] * 1024]
+        report = dp.clt_check(levels, 20000, Biased(dp.stream(52)))
+        assert not report.passed
+        failed = report.details["failed"]
+        for level in range(3):
+            assert any(f.startswith(f"level {level}: counts do not fit") for f in failed)
+            assert any(f.startswith(f"level {level}: KS distance") for f in failed)
+
+    def test_bound_is_berry_esseen_plus_dkw(self, rng):
+        levels = [[0.2] * 10, [0.2] * 40, [0.2] * 160]
+        report = dp.clt_check(levels, 5000, rng)
+        assert report.passed and "failed" not in report.details
+        rho = 0.2 * 0.8 * (0.2**2 + 0.8**2)
+        band = math.sqrt(math.log(2 * 3 / 1e-3) / (2 * 5000))
+        for n, bound in zip((10, 40, 160), report.details["ks_bound_per_level"]):
+            assert abs(bound - (0.56 * n * rho / (n * 0.16) ** 1.5 + band)) < 1e-12
+
 
 class TestReproducibility:
     def test_reports_bitwise_stable(self):

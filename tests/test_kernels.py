@@ -8,7 +8,7 @@ import detperm as dp
 from detperm.core import CapacityError, SymmetryError
 from detperm.kernels import parse_kernel_json
 
-from conftest import kernel_from_spectrum, projection_from_rank
+from conftest import assert_spectra_agree, kernel_from_spectrum, projection_from_rank
 
 WITNESS = np.array([[2.0, -1.0, -1.0], [-1.0, 2.0, -1.0], [-1.0, -1.0, 2.0]])
 
@@ -260,3 +260,69 @@ class TestKernelJson:
     def test_missing_matrix_is_error(self):
         with pytest.raises(dp.DetpermError):
             parse_kernel_json({"ground": {"labels": [0], "weights": [1.0]}})
+
+
+class TestFactoredKernel:
+    def factor(self, rng, n=5, d=2):
+        return rng.normal(size=(n, d)) + 1j * rng.normal(size=(n, d))
+
+    @pytest.mark.parametrize("rows, coefficients, message", [
+        (5, [0.5, 0.2], None),
+        (4, [0.5, 0.2], "ground size"),
+        (5, [0.5], "ground size"),
+        (5, [0.5, 0.2j], "real"),
+        (5, [0.5, np.nan], "non-finite"),
+        (5, [np.inf, 0.2], "non-finite"),
+    ])
+    def test_structural_checks(self, rng, rows, coefficients, message):
+        f = self.factor(rng)[:rows]
+        ground = dp.GroundSet.uniform(5)
+        if message is None:
+            k = dp.HermitianKernel.from_factor(f, coefficients, ground)
+            np.testing.assert_allclose(k.matrix, (f * coefficients) @ f.conj().T, atol=1e-12)
+            return
+        with pytest.raises(dp.DetpermError, match=message):
+            dp.HermitianKernel.from_factor(f, coefficients, ground)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+    def test_non_finite_factor_rejected(self, rng, bad):
+        f = self.factor(rng)
+        f[3, 1] = bad
+        with pytest.raises(dp.DetpermError, match="non-finite"):
+            dp.HermitianKernel.from_factor(f, [0.5, 0.2], dp.GroundSet.uniform(5))
+
+    def test_negative_coefficient_is_invalid(self, rng):
+        q, _ = np.linalg.qr(self.factor(rng))  # orthonormal columns: eigenvalues 0.5, -0.2
+        k = dp.HermitianKernel.from_factor(q, [0.5, -0.2], dp.GroundSet.uniform(5))
+        verdict = dp.validate_determinantal(k)
+        assert not verdict.valid
+        assert "below 0" in verdict.reason
+        assert abs(verdict.eigenvalue + 0.2) < 1e-12
+
+    def test_readers_match_the_dense_kernel(self, rng):
+        ground = dp.GroundSet(tuple(range(6)), rng.uniform(0.3, 2.0, size=6))
+        factored = kernel_from_spectrum(ground, [0.9, 0.4], dp.stream(5), factored=True)
+        dense = kernel_from_spectrum(ground, [0.9, 0.4], dp.stream(5))
+        np.testing.assert_allclose(factored.matrix, dense.matrix, atol=1e-12)
+        np.testing.assert_allclose(factored.diagonal(), np.diag(dense.matrix).real, atol=1e-12)
+        sub = dp.restrict(factored, [4, 1, 2])
+        assert sub.factor is not None and sub.ground.labels == (4, 1, 2)
+        np.testing.assert_allclose(sub.matrix, dp.restrict(dense, [4, 1, 2]).matrix, atol=1e-12)
+        for points in ([3], [0, 5], [1, 1], [2, 4, 0]):
+            for kind in ("determinantal", "permanental"):
+                assert abs(dp.joint_intensity(factored, points, kind)
+                           - dp.joint_intensity(dense, points, kind)) < 1e-12
+
+    @pytest.mark.parametrize("weights, build, arg", [
+        ((1.0, 1.0, 1.0), kernel_from_spectrum, [0.2, 0.5, 0.9]),
+        ((1.0,) * 5, kernel_from_spectrum, [0.9, 0.6, 0.3]),
+        ((0.5, 1.0, 1.5, 2.0), projection_from_rank, 2),
+        ((0.3, 2.0, 0.7, 1.1, 1.9), projection_from_rank, 3),
+        ((0.3, 2.0, 0.7, 1.1, 1.9), projection_from_rank, 5),
+        ((0.4, 1.3, 0.8, 2.2, 1.0, 0.6), kernel_from_spectrum, [1.5, 0.95, 0.95, 0.3, 0.0]),
+    ])
+    def test_dense_and_factored_spectra_agree(self, weights, build, arg):
+        ground = dp.GroundSet(tuple(range(len(weights))), np.array(weights))
+        dense = build(ground, arg, dp.stream(77))
+        factored = build(ground, arg, dp.stream(77), factored=True)
+        assert_spectra_agree(dp.spectrum(dense), dp.spectrum(factored))

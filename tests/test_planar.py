@@ -11,7 +11,24 @@ import detperm as dp
 from detperm.core import DiscretizationError, ParameterError
 from detperm.planar import base_density
 
+from conftest import assert_spectra_agree
+
 ALPHA = 1e-3
+# every grid the test suite discretizes: (base, terms, h, radius)
+GRIDS = [
+    ("ginibre", 1, 0.3, 3.0),
+    ("ginibre", 2, 0.2, 3.0),
+    ("ginibre", 2, 0.4, 2.5),
+    ("ginibre", 2, 0.4, 3.0),
+    ("ginibre", 3, 0.15, 3.5),
+    ("ginibre", 3, 0.25, 3.5),
+    ("ginibre", 3, 0.3, 3.0),
+    ("ginibre", 3, 0.3, 3.5),
+    ("ginibre", 3, 0.5, 2.5),
+    ("ginibre", 3, 1.0, 3.5),
+    ("bergman", 3, 0.05, 1.0),
+    ("bergman", 3, 0.2, 1.0),
+]
 
 
 class TestRadialKernelSpec:
@@ -152,7 +169,54 @@ class TestDiscretization:
         kernel, clamp = dp.discretize_radial_kernel(dp.ginibre_spec(3), 0.3, 3.0)
         eigs = dp.spectrum(kernel).eigenvalues
         assert clamp < 0.05
-        assert np.all(eigs[3:] < 1e-8)
+        assert len(eigs) == 3
+        assert kernel.factor.shape == (kernel.size, 3)
+        f, c = kernel.factor, kernel.coefficients
+        expected = np.einsum("xk,k,yk->xy", f, c, f.conj())
+        np.testing.assert_allclose(kernel.matrix, expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("base, terms, h, radius", GRIDS)
+    def test_factored_spectrum_matches_the_dense_build(self, base, terms, h, radius):
+        spec = {"ginibre": dp.ginibre_spec, "bergman": dp.bergman_spec}[base](terms)
+        kernel, clamp = dp.discretize_radial_kernel(spec, h, radius)
+        # the n x n matrix and dense eigensolve that the factor replaced
+        v = np.power.outer(np.array(kernel.ground.labels), [t.degree for t in spec.terms])
+        m = (v * spec.coefficients()) @ v.conj().T
+        dense = dp.spectrum(dp.HermitianKernel((m + m.conj().T) / 2, kernel.ground))
+        vals = dense.eigenvalues
+        assert abs(clamp - max(vals.max() - 1.0, 0.0) - max(-vals.min(), 0.0)) < 1e-10
+        clamped = dp.Spectrum(np.clip(vals, 0.0, 1.0), dense.eigenvectors, kernel.ground)
+        assert_spectra_agree(clamped, dp.spectrum(kernel))
+        fresh = dp.HermitianKernel.from_factor(kernel.factor, kernel.coefficients, kernel.ground)
+        assert_spectra_agree(clamped, dp.spectrum(fresh))
+
+    def test_factored_paths_never_densify(self, rng, monkeypatch):
+        kernel, _ = dp.discretize_radial_kernel(dp.ginibre_spec(3), 0.3, 3.0)
+        dense_reads, eigh_orders = [], []
+        matrix, eigh = dp.HermitianKernel.matrix, np.linalg.eigh
+
+        def read_matrix(k):
+            dense_reads.append(k)
+            return matrix.fget(k)
+
+        def counted_eigh(a, *args, **kwargs):
+            eigh_orders.append(len(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(dp.HermitianKernel, "matrix", property(read_matrix))
+        monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+        disk = [i for i, z in enumerate(kernel.ground.labels) if abs(z) <= 1.5]
+        for _ in range(20):
+            dp.sample_dpp(kernel, rng)
+            dp.sample_permanental(kernel, rng)
+            dp.sample_alpha(kernel, -0.5, rng)
+        dp.sample_clouds(kernel, rng)
+        dp.count_pmf(kernel, disk)
+        dp.count_pmf_perm(kernel, disk, 40)
+        dp.joint_intensity(kernel, disk[:3])
+        dp.joint_intensity(kernel, [disk[0], disk[0]], kind="permanental")
+        assert dense_reads == []
+        assert eigh_orders and max(eigh_orders) <= 3
 
     def test_trace_converges_to_weight_sum(self):
         # below h ~ 0.7 the residual is the radius-3.5 truncation mass, so
