@@ -27,7 +27,6 @@ from .core import (
 )
 from .core import UnsupportedAlphaError
 from .kernels import (
-    HermitianKernel,
     Spectrum,
     alpha_det,
     restrict,
@@ -81,21 +80,13 @@ def _require_supported(alpha):
 
 def scaled_kernel(kernel, factor):
     """factor * K for a positive factor, built once per factor and cached
-    on K; a factored K keeps its factor and scales its coefficients.  Its
-    spectrum is derived from K's, not recomputed: the same eigenfunctions,
-    the eigenvalues times the factor, still in descending order."""
+    on K.  It is the kernel of K's spectrum with the eigenvalues times the
+    factor: the same eigenfunctions, still in descending order, so it is
+    never decomposed again and is Hermitian by construction."""
     cache = kernel.__dict__.setdefault("_scaled_cache", {})
     if factor not in cache:
-        if kernel.factor is None:
-            scaled = HermitianKernel(factor * kernel.matrix, kernel.ground)
-        else:
-            scaled = HermitianKernel.from_factor(
-                kernel.factor, factor * kernel.coefficients, kernel.ground
-            )
         spec = spectrum(kernel)
-        derived = Spectrum(factor * spec.eigenvalues, spec.eigenvectors, spec.ground)
-        object.__setattr__(scaled, "_spectrum_cache", derived)
-        cache[factor] = scaled
+        cache[factor] = Spectrum(factor * spec.eigenvalues, spec.eigenvectors, spec.ground).kernel()
     return cache[factor]
 
 

@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from .core import DetpermError, stream
+from .core import DetpermError, _encode_label, stream
 from .kernels import HermitianKernel, parse_kernel_json, validate_determinantal
 
 
@@ -46,14 +46,6 @@ def _format_label(label):
     return str(label)
 
 
-def _encode_label_json(label):
-    if isinstance(label, complex):
-        return [_round12(label.real), _round12(label.imag)]
-    if isinstance(label, tuple):
-        return [_encode_label_json(x) for x in label]
-    return _round12(label) if isinstance(label, float) else label
-
-
 @contextlib.contextmanager
 def _open_out(path):
     if path is None or path == "-":
@@ -80,7 +72,7 @@ def _emit_samples(configs, ground, fmt, out):
     for config in configs:
         labels = config.labels(ground)
         if fmt == "jsonl":
-            _dump({"points": [_encode_label_json(x) for x in labels]}, out)
+            _dump({"points": [_encode_label(x) for x in labels]}, out)
         else:
             print(",".join(_format_label(x) for x in labels), file=out)
 

@@ -37,6 +37,10 @@ PIVOT_TOL = 1e-10
 RECIPROCAL_TOL = 1e-9
 # Max error of a radial term's normalizer a_k^2 times its base moment from 1.
 NORMALIZATION_TOL = 1e-8
+# Max imaginary part of a joint intensity, relative to 1 + its real part.
+INTENSITY_IMAG_TOL = 1e-9
+# Max distance of a count law's pmf plus tail bound from total mass 1.
+PMF_MASS_TOL = 1e-12
 
 
 class DetpermError(ValueError):
@@ -248,7 +252,7 @@ class CountDistribution:
         if np.any(pmf < 0):
             raise DetpermError("pmf entries must be non-negative")
         total = pmf.sum() + self.tail_bound
-        if not (1 - 1e-12 <= total <= 1 + 1e-12):
+        if not (1 - PMF_MASS_TOL <= total <= 1 + PMF_MASS_TOL):
             raise DetpermError(f"pmf plus tail must sum to 1, got {total!r}")
 
     @property

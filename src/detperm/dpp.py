@@ -44,7 +44,7 @@ from .core import (
     clamp_unit_interval,
     sample_categorical,
 )
-from .kernels import HermitianKernel, restrict, spectrum, validate_determinantal
+from .kernels import Spectrum, restrict, spectrum, validate_determinantal
 
 
 def _check_orthonormal(rows, weights):
@@ -72,12 +72,9 @@ class ProjectionBasis:
     def rank(self):
         return self.functions.shape[0]
 
-    def kernel_matrix(self):
-        f = self.functions
-        return f.T @ f.conj()
-
     def kernel(self):
-        return HermitianKernel(self.kernel_matrix(), self.ground)
+        """The projection kernel, factored by the basis functions."""
+        return Spectrum(np.ones(self.rank), self.functions.T, self.ground).kernel()
 
     @staticmethod
     def from_spectrum(spec, indices):

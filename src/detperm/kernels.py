@@ -20,6 +20,7 @@ import numpy as np
 from .core import (
     EIGENVALUE_TOL,
     HERMITIAN_TOL,
+    INTENSITY_IMAG_TOL,
     SINGULARITY_TOL,
     CapacityError,
     DetpermError,
@@ -171,20 +172,25 @@ class Spectrum:
     def size(self):
         return len(self.eigenvalues)
 
-    def reconstruct(self):
-        """Rebuild the kernel matrix sum_k lambda_k phi_k(x) conj(phi_k(y))."""
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
+    def kernel(self):
+        """The kernel sum_k lambda_k phi_k(x) conj(phi_k(y)) of this
+        spectrum, factored by its eigenfunction columns and holding this
+        spectrum as its own, so it is never decomposed again."""
+        kernel = HermitianKernel.from_factor(self.eigenvectors, self.eigenvalues, self.ground)
+        kernel._spectrum_cache = self
+        return kernel
 
 
 def spectrum(kernel):
     """Eigendecompose a kernel in the weighted inner product.
 
     A dense kernel solves the symmetrized problem W^(1/2) K W^(1/2).  A
-    factored one works on the d x d Gram side instead, at O(n d^2): with
-    the thin QR W^(1/2) F = Q R, the symmetrized kernel is
-    Q (R diag(c) R*) Q*, so it has exactly min(n, d) eigenpairs, and no
-    cut-off decides which eigenvalues count as zero.  The eigenvectors are
+    factored one taller than wide (n > d) works on the d x d Gram side
+    instead, at O(n d^2): with the thin QR W^(1/2) F = Q R, the symmetrized
+    kernel is Q (R diag(c) R*) Q*.  Either way it has exactly min(n, d)
+    eigenpairs, and no cut-off decides which eigenvalues count as zero;
+    a factor no taller than wide, such as a restriction to a few atoms,
+    skips the QR and builds the n x n side directly.  The eigenvectors are
     un-weighted, so columns of the result are orthonormal against the
     ground weights and the kernel reconstructs as
     sum_k lambda_k phi_k(x) conj(phi_k(y)).  The decomposition is cached
@@ -195,11 +201,14 @@ def spectrum(kernel):
     if cached is not None:
         return cached
     s = np.sqrt(kernel.ground.weights)
+    q = None
     if kernel.factor is None:
-        q, b = None, s[:, None] * kernel.matrix * s[None, :]
+        b = s[:, None] * kernel.matrix * s[None, :]
     else:
-        q, r = np.linalg.qr(s[:, None] * kernel.factor)
-        b = (r * kernel.coefficients) @ r.conj().T
+        f = s[:, None] * kernel.factor
+        if f.shape[0] > f.shape[1]:
+            q, f = np.linalg.qr(f)
+        b = (f * kernel.coefficients) @ f.conj().T
     b = (b + b.conj().T) / 2
     try:
         vals, vecs = np.linalg.eigh(b)
@@ -359,6 +368,6 @@ def joint_intensity(kernel, points, kind="determinantal", alpha=None):
         value = alpha_det(minor, alpha)
     else:
         raise DetpermError(f"unknown intensity kind {kind!r}")
-    if abs(value.imag) > 1e-9 * (1 + abs(value.real)):
+    if abs(value.imag) > INTENSITY_IMAG_TOL * (1 + abs(value.real)):
         raise DetpermError(f"joint intensity came out non-real: {value!r}")
     return float(value.real)

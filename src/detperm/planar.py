@@ -269,13 +269,7 @@ def discretize_radial_kernel(spec, h, radius, max_clamp=0.05):
         raise DiscretizationError(
             f"eigenvalue clamp {clamp:.3g} exceeds {max_clamp}; refine the grid"
         )
-    clamped = np.clip(vals, 0.0, 1.0)
-    kernel = HermitianKernel.from_factor(spec_k.eigenvectors, clamped, ground)
-    # the clamped decomposition is already in hand; seed the cache with it
-    object.__setattr__(
-        kernel, "_spectrum_cache", Spectrum(clamped, spec_k.eigenvectors, ground)
-    )
-    return kernel, clamp
+    return Spectrum(np.clip(vals, 0.0, 1.0), spec_k.eigenvectors, ground).kernel(), clamp
 
 
 def sample_clouds(kernel, rng):

@@ -151,7 +151,8 @@ def _tree_basis(graph):
 def transfer_current_kernel(graph):
     """Determinantal kernel of the weighted spanning tree on the edge set
     (counting measure): C^(1/2) B L^+ B^T C^(1/2), an orthogonal
-    projection of rank |V| - 1 with diagonal c_e R(e) = P(e in tree)."""
+    projection of rank |V| - 1 with diagonal c_e R(e) = P(e in tree),
+    held as the factor of the tree basis."""
     return _tree_basis(graph).kernel()
 
 

@@ -100,7 +100,7 @@ def test_criterion_03_projection_sampler_exact_law():
     ground = dp.GroundSet(tuple("abcd"), np.array([0.5, 1.0, 1.5, 2.0]))
     basis = dp.ProjectionBasis.from_kernel(projection_from_rank(ground, 2, rng))
     law = {}
-    k = basis.kernel_matrix()
+    k = basis.kernel().matrix
     for subset in itertools.combinations(range(4), 2):
         minor = k[np.ix_(subset, subset)]
         law[subset] = float(np.linalg.det(minor).real) * math.prod(

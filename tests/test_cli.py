@@ -1,11 +1,12 @@
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import detperm as dp
-from detperm.cli import main
+from detperm.cli import _emit_samples, main
 
 from conftest import kernel_from_spectrum, projection_from_rank
 
@@ -99,6 +100,26 @@ class TestSampleCommand:
         main(["sample", "dpp", "--kernel", projection_file, "--count", "5",
               "--seed", "42"])
         assert capsys.readouterr().out == first
+
+    def test_jsonl_labels_keep_twelve_digits(self, tmp_path, capsys):
+        path = tmp_path / "identity.json"
+        path.write_text(json.dumps({"ground": {"labels": [1 / 3, [2 / 3, "x"], 7, "s"],
+                                               "weights": [1.0] * 4},
+                                    "matrix_real": np.eye(4).tolist()}))
+        assert main(["sample", "dpp", "--kernel", str(path), "--count", "1",
+                     "--seed", "1", "--format", "jsonl"]) == 0
+        points = json.loads(capsys.readouterr().out)["points"]
+        expected = [0.333333333333, [0.666666666667, "x"], 7, "s"]
+        assert sorted(map(json.dumps, points)) == sorted(map(json.dumps, expected))
+
+    def test_jsonl_complex_and_numpy_labels(self, capsys):
+        labels = (1 / 3 + 2j / 3, (0.1 + 0.2, 1j / 3), np.float64(2 / 3), np.int64(3))
+        config = dp.PointConfiguration((0, 1, 2, 3), simple=True)
+        _emit_samples([config], dp.GroundSet(labels, np.ones(4)), "jsonl", sys.stdout)
+        assert capsys.readouterr().out == (
+            '{"points": [[0.333333333333, 0.666666666667], [0.3, [0.0, 0.333333333333]], '
+            '0.666666666667, 3]}\n'
+        )
 
     def test_perm_csv_to_file(self, kernel_file, tmp_path):
         out = tmp_path / "samples.csv"

@@ -33,7 +33,7 @@ def rank2_basis(four_point_ground, rng):
 def exact_subset_law(basis):
     """Probability of each r-subset: det of the kernel minor times the
     product of the weights (enumeration oracle)."""
-    k = basis.kernel_matrix()
+    k = basis.kernel().matrix
     w = basis.ground.weights
     law = {}
     for subset in itertools.combinations(range(basis.ground.size), basis.rank):
@@ -248,7 +248,7 @@ class TestProjectionBasis:
             dp.ProjectionBasis.from_kernel(kernel)
 
     def test_idempotence_check(self, rank2_basis):
-        k = rank2_basis.kernel_matrix()
+        k = rank2_basis.kernel().matrix
         np.testing.assert_allclose((k * rank2_basis.ground.weights) @ k, k, atol=1e-6)
 
     def test_spectrum_orthonormality_checked_once(self, rng, monkeypatch):

@@ -47,7 +47,7 @@ class TestSpectrum:
             k = dp.HermitianKernel(random_hermitian(rng, n), ground)
             spec = dp.spectrum(k)
             assert np.all(np.diff(spec.eigenvalues) <= 1e-12)
-            np.testing.assert_allclose(spec.reconstruct(), k.matrix, atol=1e-8)
+            np.testing.assert_allclose(spec.kernel().matrix, k.matrix, atol=1e-8)
             v = spec.eigenvectors
             gram = (v.conj().T * ground.weights) @ v
             np.testing.assert_allclose(gram, np.eye(n), atol=1e-8)
@@ -308,6 +308,9 @@ class TestFactoredKernel:
         sub = dp.restrict(factored, [4, 1, 2])
         assert sub.factor is not None and sub.ground.labels == (4, 1, 2)
         np.testing.assert_allclose(sub.matrix, dp.restrict(dense, [4, 1, 2]).matrix, atol=1e-12)
+        for subset in ([4], [4, 1, 2]):  # fewer, then more atoms than the rank
+            assert_spectra_agree(dp.spectrum(dp.restrict(dense, subset)),
+                                 dp.spectrum(dp.restrict(factored, subset)))
         for points in ([3], [0, 5], [1, 1], [2, 4, 0]):
             for kind in ("determinantal", "permanental"):
                 assert abs(dp.joint_intensity(factored, points, kind)

@@ -9,7 +9,7 @@ import detperm as dp
 from detperm.core import GraphError
 from detperm.ust import Graph, is_spanning_tree
 
-from conftest import enumerate_spanning_trees, tabulate
+from conftest import assert_spectra_agree, enumerate_spanning_trees, tabulate
 
 ALPHA = 1e-3
 N_SAMPLES = 10000
@@ -27,6 +27,14 @@ def c4():
 @pytest.fixture
 def square_chord():
     return Graph.from_edge_list(SQUARE_CHORD_TEXT)
+
+
+def grid_graph(side, rng):
+    """The side x side grid with conductances uniform on [0.5, 2]."""
+    edges = [((r, c), (r, c + 1)) for r in range(side) for c in range(side - 1)]
+    edges += [((r, c), (r + 1, c)) for r in range(side - 1) for c in range(side)]
+    vertices = tuple((r, c) for r in range(side) for c in range(side))
+    return Graph(vertices, tuple(edges), rng.uniform(0.5, 2.0, size=len(edges)))
 
 
 def tree_law(graph):
@@ -109,6 +117,42 @@ class TestTransferCurrentKernel:
         expected = [1.0, (7 + math.sqrt(17)) / 16, (7 - math.sqrt(17)) / 16]
         np.testing.assert_allclose(eigs, expected, atol=1e-8)
 
+    @pytest.mark.parametrize("side", [3, 10])
+    def test_grid_kernel_is_a_rank_v_minus_one_factor(self, side, rng, monkeypatch):
+        g = grid_graph(side, rng)
+        k = dp.transfer_current_kernel(g)
+        assert k.factor.shape == (g.n_edges, g.n_vertices - 1)
+        # reference: the dense |E| x |E| kernel C^(1/2) B L^+ B^T C^(1/2)
+        b = np.zeros((g.n_edges, g.n_vertices))
+        for e, (u, v) in enumerate(g._index_pairs()):
+            b[e, u], b[e, v] = 1.0, -1.0
+        cb = np.sqrt(g.conductances)[:, None] * b
+        dense = dp.HermitianKernel(cb @ np.linalg.pinv(cb.T @ cb) @ cb.T, k.ground)
+        assert_spectra_agree(dp.spectrum(dense), dp.spectrum(k))
+
+        dense_reads, eigh_orders = [], []
+        matrix, eigh = dp.HermitianKernel.matrix, np.linalg.eigh
+
+        def read_matrix(kernel):
+            dense_reads.append(kernel)
+            return matrix.fget(kernel)
+
+        def counted_eigh(a, *args, **kwargs):
+            eigh_orders.append(len(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(dp.HermitianKernel, "matrix", property(read_matrix))
+        monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+        half = range(g.n_edges // 2)
+        law = dp.count_pmf(dp.transfer_current_kernel(g), half)
+        assert dense_reads == []
+        assert eigh_orders and max(eigh_orders) <= len(half)
+        for _ in range(5):
+            assert is_spanning_tree(g, dp.sample_ust(g, rng))
+        assert dense_reads == []
+        monkeypatch.undo()
+        np.testing.assert_allclose(law.pmf, dp.count_pmf(dense, half).pmf, rtol=0, atol=1e-10)
+
 
 class TestEffectiveResistance:
     def test_bridge(self):
@@ -157,10 +201,7 @@ class TestSampleUst:
         assert report.p_value > ALPHA, report
 
     def test_three_by_three_grid_tree_law(self, rng):
-        edges = [((r, c), (r, c + 1)) for r in range(3) for c in range(2)]
-        edges += [((r, c), (r + 1, c)) for r in range(2) for c in range(3)]
-        vertices = tuple((r, c) for r in range(3) for c in range(3))
-        g = Graph(vertices, tuple(edges), rng.uniform(0.5, 2.0, size=len(edges)))
+        g = grid_graph(3, rng)
         trees, probs = tree_law(g)
         assert len(trees) == 192
         counts = Counter(dp.sample_ust(g, rng) for _ in range(2 * N_SAMPLES))
