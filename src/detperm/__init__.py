@@ -17,6 +17,7 @@ from .kernels import (
     HermitianKernel,
     Spectrum,
     alpha_det,
+    eigenvalues,
     joint_intensity,
     permanent,
     restrict,

@@ -29,6 +29,7 @@ from .core import UnsupportedAlphaError
 from .kernels import (
     Spectrum,
     alpha_det,
+    eigenvalues,
     restrict,
     spectrum,
     validate_determinantal,
@@ -130,7 +131,7 @@ def alpha_count_pmf(kernel, alpha, subset, n_max=None):
     idx = list(subset)
     if not idx:
         return CountDistribution(np.array([1.0]), 0.0)
-    lams = clamp_nonnegative(spectrum(restrict(kernel, idx)).eigenvalues)
+    lams = clamp_nonnegative(eigenvalues(restrict(kernel, idx)))
     per_copy = np.repeat(abs(regime.alpha) * lams, regime.copies)
     if regime.mode == DET_UNION:
         return bernoulli_sum_pmf(per_copy)

@@ -42,6 +42,8 @@ INTENSITY_IMAG_TOL = 1e-9
 # Max distance of a count law's pmf plus tail bound from total mass 1.
 PMF_MASS_TOL = 1e-12
 
+GAMMA_SHAPE_CAP = 500  # gamma_cdf sums shape Poisson terms from e^(-x)
+
 
 class DetpermError(ValueError):
     """Base class for all errors raised by this package."""
@@ -336,3 +338,22 @@ def geometric_sum_pmf(lambdas, n_max):
         pmf = np.convolve(pmf, _geometric_pmf(lam, n_max))[: n_max + 1]
     tail = max(0.0, 1.0 - pmf.sum())
     return CountDistribution(pmf, tail)
+
+
+def gamma_cdf(x, shape):
+    """P(X <= x) for X ~ Gamma(shape, 1) with a positive integer shape: the
+    Poisson tail 1 - e^(-x) sum_{j < shape} x^j / j!, summed by the
+    recurrence t_j = t_(j-1) x / j from t_0 = e^(-x).
+
+    Capped at shape GAMMA_SHAPE_CAP: e^(-x) underflows past x = 708, and up
+    to the cap the Poisson head it drops there is below 1e-16.
+    """
+    if not 1 <= shape <= GAMMA_SHAPE_CAP:
+        raise CapacityError(f"gamma shape must be 1..{GAMMA_SHAPE_CAP}, got {shape}")
+    x = np.maximum(np.asarray(x, dtype=float), 0.0)
+    term = np.exp(-x)
+    head = term
+    for j in range(1, shape):
+        term = term * x / j
+        head = head + term
+    return 1.0 - head

@@ -44,7 +44,7 @@ from .core import (
     clamp_unit_interval,
     sample_categorical,
 )
-from .kernels import Spectrum, restrict, spectrum, validate_determinantal
+from .kernels import Spectrum, eigenvalues, restrict, spectrum, validate_determinantal
 
 
 def _check_orthonormal(rows, weights):
@@ -113,7 +113,13 @@ def sample_projection(basis, rng):
     raises NumericalDegeneracyError.
     """
     rank = basis.rank
-    v = basis.functions.T * np.sqrt(basis.ground.weights)[:, None]
+    # Kept on the basis, so that a reused basis (a graph's cached tree
+    # basis) draws without a fresh atoms x rank copy: allocating one per
+    # draw re-faults the heap pages the allocator trimmed after the last.
+    v = getattr(basis, "_weighted", None)
+    if v is None:
+        v = basis.functions.T * np.sqrt(basis.ground.weights)[:, None]
+        object.__setattr__(basis, "_weighted", v)
     d = (v.real**2 + v.imag**2).sum(axis=1)
     start = d.copy()
     cols = np.empty((len(d), rank), dtype=complex)
@@ -164,7 +170,7 @@ def count_pmf(kernel, subset):
     if not idx:
         return CountDistribution(np.array([1.0]), 0.0)
     sub = restrict(kernel, idx)
-    return bernoulli_sum_pmf(spectrum(sub).eigenvalues)
+    return bernoulli_sum_pmf(eigenvalues(sub))
 
 
 def joint_counts_observable(lambda_matrix, rng):

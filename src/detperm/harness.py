@@ -12,12 +12,14 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 
-from .core import DetpermError, ParameterError, bernoulli_sum_pmf, stream
+from .core import DetpermError, ParameterError, bernoulli_sum_pmf, gamma_cdf, stream
 
 DEFAULT_SIGNIFICANCE = 1e-3
 MIN_EXPECTED = 5.0
+# Below this n d^2 the two-sided KS p-value comes from the Pelz-Good
+# series; at or above it from twice the exact one-sided tail.
+KS_ONE_SIDED_CUT = 2.2
 
 
 @dataclass(frozen=True)
@@ -40,6 +42,132 @@ class TestReport:
             "significance": self.significance,
             **({"details": self.details} if self.details else {}),
         }
+
+
+# ---------------------------------------------------------------------------
+# closed-form null laws
+
+
+def chi2_sf(x, dof):
+    """P(X >= x) for X chi-square with a positive integer number of degrees
+    of freedom, with h = x / 2.  Even dof 2m: the Poisson sum
+    e^(-h) sum_{j<m} h^j / j!.  Odd dof 2m + 1: erfc(sqrt(h)) plus
+    e^(-h) sum_{j<m} h^(j+1/2) / Gamma(j + 3/2).  Each term is formed in
+    log space, so none overflows."""
+    if dof < 1 or int(dof) != dof:
+        raise ParameterError(f"chi-square dof must be a positive integer, got {dof!r}")
+    if x <= 0:
+        return 1.0
+    if x == math.inf:
+        return 0.0
+    h = x / 2
+    log_h = math.log(h)
+    half = (dof % 2) / 2
+    head = math.erfc(math.sqrt(h)) if half else 0.0
+    tail = sum(math.exp((j + half) * log_h - h - math.lgamma(j + half + 1))
+               for j in range(int(dof) // 2))
+    return min(head + tail, 1.0)
+
+
+def _smirnov_sf(d, n):
+    """P(D_n^+ >= d) for 0 < d < 1, exactly (Birnbaum and Tingey 1951):
+    d sum_j C(n, j) (1 - d - j/n)^(n-j) (d + j/n)^(j-1) over j < n (1 - d),
+    summed in log space.  The term at j = n (1 - d) is 0 and is left out."""
+    j = np.arange(int(n * (1 - d)) + 1)
+    s = d + j / n
+    j, s = j[s < 1], s[s < 1]
+    log_factorial = np.array([math.lgamma(i + 1) for i in range(n + 1)])
+    log_terms = (log_factorial[n] - log_factorial[j] - log_factorial[n - j]
+                 + (n - j) * np.log1p(-s) + (j - 1) * np.log(s))
+    top = log_terms.max()
+    return d * math.exp(top) * float(np.exp(log_terms - top).sum())
+
+
+def _pelz_good_cdf(d, n):
+    """P(D_n <= d) by the Pelz-Good (1976) series K0 + K1/sqrt(n) + K2/n +
+    K3/n^1.5 in z = d sqrt(n), as written by Simard and L'Ecuyer (2011)."""
+    z = d * math.sqrt(n)
+    pi2 = math.pi**2
+    if pi2 / (8 * z * z) > 700:  # every term underflows
+        return 0.0
+    k = np.arange(1.0, math.ceil(16 * z / math.pi) + 2)
+    m2 = (2 * k - 1) ** 2
+    odd = np.exp(-m2 * pi2 / (8 * z * z))
+    even = np.exp(-k * k * pi2 / (2 * z * z))
+    z2, z4, z6 = z**2, z**4, z**6
+    root = math.sqrt(2 * math.pi)
+    k0 = root / z * odd.sum()
+    k1 = root / (6 * z4) * ((pi2 * m2 / 4 - z2) * odd).sum()
+    k2 = (root / (72 * z**7) * ((6 * z6 + 2 * z4 + pi2 * (2 * z4 - 5 * z2) * m2 / 4
+                                 + pi2**2 * (1 - 2 * z2) * m2**2 / 16) * odd).sum()
+          - root * pi2 / (36 * z**3) * (k * k * even).sum())
+    k3 = (root / (6480 * z**10) * ((pi2**3 * (5 - 30 * z2) * m2**3 / 64
+                                    + pi2**2 * (212 * z4 - 60 * z2) * m2**2 / 16
+                                    + pi2 * (135 * z4 - 96 * z6) * m2 / 4
+                                    - 30 * z6 - 90 * z**8) * odd).sum()
+          + root / (216 * z6) * ((3 * pi2 * k * k * z2 - pi2**2 * k**4) * even).sum())
+    return float(k0 + k1 / math.sqrt(n) + k2 / n + k3 / n**1.5)
+
+
+def ks_sf(d, n):
+    """P(D_n >= d) for the two-sided Kolmogorov-Smirnov distance D_n of n
+    draws from a continuous law.  For n d^2 >= KS_ONE_SIDED_CUT it is
+    min(1, 2 P(D_n^+ >= d)) with the exact one-sided tail: the two
+    one-sided events then overlap negligibly, and not at all for d >= 1/2.
+    Below the cut it is 1 minus the Pelz-Good series.  For n > 140 these
+    are the branches of Simard and L'Ecuyer (2011); for smaller n the
+    series is an approximation."""
+    if d <= 0:
+        return 1.0
+    if d >= 1:
+        return 0.0
+    if n * d * d >= KS_ONE_SIDED_CUT:
+        return min(1.0, 2 * _smirnov_sf(d, n))
+    return min(1.0, max(0.0, 1.0 - _pelz_good_cdf(d, n)))
+
+
+_erfc = np.frompyfunc(math.erfc, 1, 1)
+
+
+def normal_cdf(x):
+    """The standard normal CDF, 0.5 erfc(-x / sqrt(2))."""
+    return 0.5 * _erfc(-np.asarray(x, dtype=float) / math.sqrt(2)).astype(float)
+
+
+SUPPORTED_LAWS = "uniform(); norm(); gamma(k) with an integer k >= 1; beta(a, 1) with a > 0"
+
+
+def named_cdf(name, args=()):
+    """The CDF, as a function of an array, of a law of the supported-law
+    table SUPPORTED_LAWS with parameters ``args``; any other law raises
+    ParameterError."""
+    args = tuple(args)
+    if name == "uniform" and not args:
+        return lambda x: np.clip(x, 0.0, 1.0)
+    if name == "norm" and not args:
+        return normal_cdf
+    if name == "gamma" and len(args) == 1 and float(args[0]).is_integer() and args[0] >= 1:
+        return lambda x: gamma_cdf(x, int(args[0]))
+    if name == "beta" and len(args) == 2 and 0 < args[0] < math.inf and args[1] == 1:
+        return lambda x: np.clip(x, 0.0, 1.0) ** args[0]
+    raise ParameterError(f"unsupported law {name!r} with parameters {args}; "
+                         f"supported: {SUPPORTED_LAWS}")
+
+
+def ks_distance(samples, cdf):
+    """The two-sided KS distance between the empirical CDF of ``samples``
+    and ``cdf``, from the sorted sample: max over i of i/n - F(x_(i)) and
+    F(x_(i)) - (i-1)/n."""
+    x = np.sort(np.asarray(samples, dtype=float))
+    n = x.size
+    values = cdf(x)
+    d_plus = (np.arange(1.0, n + 1) / n - values).max()
+    d_minus = (values - np.arange(0.0, n) / n).max()
+    return float(max(d_plus, d_minus))
+
+
+# ---------------------------------------------------------------------------
+# goodness-of-fit tests
 
 
 def counts_from_values(values, n_bins=None):
@@ -96,7 +224,7 @@ def chi_square_fit(observed, expected_pmf, significance=DEFAULT_SIGNIFICANCE,
         raise DetpermError("all mass in one bin after merging")
     stat = float(((obs_m - exp_m) ** 2 / exp_m).sum())
     dof = len(exp_m) - 1
-    p = float(stats.chi2.sf(stat, dof))
+    p = chi2_sf(stat, dof)
     return TestReport(description, stat, p, int(n), p > significance, significance,
                       {"dof": dof})
 
@@ -140,21 +268,27 @@ def chi_square_homogeneity(counts_a, counts_b, significance=DEFAULT_SIGNIFICANCE
     eb = col * nb / (na + nb)
     stat = float((((a - ea) ** 2) / ea).sum() + (((b - eb) ** 2) / eb).sum())
     dof = len(a) - 1
-    p = float(stats.chi2.sf(stat, dof))
+    p = chi2_sf(stat, dof)
     return TestReport(description, stat, p, int(na + nb), p > significance,
                       significance, {"dof": dof})
 
 
 def ks_fit(samples, cdf, args=(), significance=DEFAULT_SIGNIFICANCE,
            description="Kolmogorov-Smirnov fit"):
-    """One-sample KS test against a named scipy distribution or a callable
-    CDF, with the asymptotic p-value."""
+    """One-sample KS test against a law of the supported-law table
+    SUPPORTED_LAWS (``uniform()``, ``norm()``, ``gamma(k)`` with an integer
+    k, ``beta(a, 1)``), named with its parameters in ``args``, or against a
+    callable CDF ``cdf(x, *args)``.  The p-value is ``ks_sf`` of the
+    distance."""
     x = np.asarray(samples, dtype=float)
     if x.size < 10:
         raise DetpermError(f"need at least 10 samples, got {x.size}")
-    stat, p = stats.kstest(x, cdf, args=args)
-    return TestReport(description, float(stat), float(p), int(x.size),
-                      float(p) > significance, significance)
+    if not np.isfinite(x).all():
+        raise DetpermError("samples must be finite")
+    law = named_cdf(cdf, args) if isinstance(cdf, str) else (lambda v: cdf(v, *args))
+    stat = ks_distance(x, law)
+    p = ks_sf(stat, x.size)
+    return TestReport(description, stat, p, int(x.size), p > significance, significance)
 
 
 def clt_check(lambda_sequences, samples_per_level, rng):
@@ -192,8 +326,7 @@ def clt_check(lambda_sequences, samples_per_level, rng):
             counts[done : done + take] = (u < lams).sum(axis=1)
             done += take
         z = (counts - mu) / math.sqrt(var)
-        stat, _ = stats.kstest(z, "norm")
-        ks_stats.append(float(stat))
+        ks_stats.append(ks_distance(z, normal_cdf))
         rho = float((lams * (1 - lams) * (lams**2 + (1 - lams) ** 2)).sum())
         ks_bounds.append(0.56 * rho / var**1.5 + band)
         fit = chi_square_fit(counts_from_values(counts), bernoulli_sum_pmf(lams).pmf,
@@ -271,8 +404,8 @@ def _check_categorical(params, rng):
 
 def _moduli_fits(spec, law, params, rng):
     """KS fit of each term's squared modulus, over ``params["samples"]``
-    draws; ``law(k)`` gives the scipy name, its args and the description
-    for term k."""
+    draws; ``law(k)`` gives the law's name in ``ks_fit``'s supported-law
+    table, its parameters and the description for term k."""
     from .planar import sample_radial_moduli
 
     n_samples = int(params.get("samples", 100000))

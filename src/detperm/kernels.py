@@ -200,16 +200,7 @@ def spectrum(kernel):
     cached = getattr(kernel, "_spectrum_cache", None)
     if cached is not None:
         return cached
-    s = np.sqrt(kernel.ground.weights)
-    q = None
-    if kernel.factor is None:
-        b = s[:, None] * kernel.matrix * s[None, :]
-    else:
-        f = s[:, None] * kernel.factor
-        if f.shape[0] > f.shape[1]:
-            q, f = np.linalg.qr(f)
-        b = (f * kernel.coefficients) @ f.conj().T
-    b = (b + b.conj().T) / 2
+    b, q, s = _symmetrized(kernel)
     try:
         vals, vecs = np.linalg.eigh(b)
     except np.linalg.LinAlgError as exc:
@@ -221,6 +212,36 @@ def spectrum(kernel):
     result = Spectrum(vals[order], vecs / s[:, None], kernel.ground)
     object.__setattr__(kernel, "_spectrum_cache", result)
     return result
+
+
+def eigenvalues(kernel):
+    """The eigenvalues of ``spectrum(kernel)``, in descending order, without
+    its eigenvectors: a cached spectrum's, or ``eigvalsh`` of the same
+    symmetrized matrix.  Count laws need no more, and a throw-away
+    restricted kernel is never sampled from, so nothing is cached."""
+    cached = getattr(kernel, "_spectrum_cache", None)
+    if cached is not None:
+        return cached.eigenvalues
+    try:
+        return np.linalg.eigvalsh(_symmetrized(kernel)[0])[::-1]
+    except np.linalg.LinAlgError as exc:
+        raise DetpermError(f"eigensolver failed to converge: {exc}") from exc
+
+
+def _symmetrized(kernel):
+    """The Hermitian matrix whose eigenpairs give the kernel's spectrum,
+    the Q of the thin QR that maps them back to the atoms (None when the
+    matrix is n x n), and the square roots of the weights."""
+    s = np.sqrt(kernel.ground.weights)
+    q = None
+    if kernel.factor is None:
+        b = s[:, None] * kernel.matrix * s[None, :]
+    else:
+        f = s[:, None] * kernel.factor
+        if f.shape[0] > f.shape[1]:
+            q, f = np.linalg.qr(f)
+        b = (f * kernel.coefficients) @ f.conj().T
+    return (b + b.conj().T) / 2, q, s
 
 
 @dataclass(frozen=True)

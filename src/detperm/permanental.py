@@ -25,7 +25,7 @@ from .core import (
     sample_geometric,
     sample_poisson_array,
 )
-from .kernels import permanent, restrict, spectrum
+from .kernels import eigenvalues, permanent, restrict, spectrum
 
 
 def standard_complex_normal(rng, size=None):
@@ -56,7 +56,7 @@ def count_pmf_perm(kernel, subset, n_max):
     if not idx:
         return CountDistribution(np.array([1.0]), 0.0)
     sub = restrict(kernel, idx)
-    lams = clamp_nonnegative(spectrum(sub).eigenvalues)
+    lams = clamp_nonnegative(eigenvalues(sub))
     return geometric_sum_pmf(lams, n_max)
 
 

@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainc, gammaln
 
 from .core import (
     EIGENVALUE_TOL,
@@ -31,6 +30,7 @@ from .core import (
     GroundSet,
     ParameterError,
     PointConfiguration,
+    gamma_cdf,
     sample_poisson_array,
 )
 from .dpp import sample_dpp
@@ -60,13 +60,13 @@ class _GaussianBase:
 
     @staticmethod
     def cdf_q(k, q):
-        return float(gammainc(k + 1, max(q, 0.0)))
+        return float(gamma_cdf(q, k + 1))
 
     @staticmethod
     def q_density(k, q):
         if q < 0:
             return 0.0
-        return math.exp(k * math.log(q) - q - gammaln(k + 1)) if q > 0 else (1.0 if k == 0 else 0.0)
+        return math.exp(k * math.log(q) - q - math.lgamma(k + 1)) if q > 0 else (1.0 if k == 0 else 0.0)
 
 
 class _LebesgueDiskBase:

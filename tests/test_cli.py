@@ -1,4 +1,6 @@
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -267,6 +269,26 @@ class TestVerifyCommand:
         reports = [json.loads(line, parse_constant=reject) for line in lines]
         assert len(reports) == 9
         assert any(r["p_value"] is None for r in reports)  # the CLT report
+
+    def test_runtime_loads_no_scipy(self):
+        # a fresh `import detperm`, and a `verify` run of the example suite,
+        # import no scipy module: every p-value has a closed form
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(EXAMPLE_SUITE.parents[1] / "src"), env.get("PYTHONPATH")]))
+        report = "print(sorted(m for m in sys.modules if m.startswith('scipy')), file=sys.stderr)"
+        imported = subprocess.run([sys.executable, "-c", f"import sys, detperm; {report}"],
+                                  capture_output=True, text=True, env=env, timeout=300)
+        assert imported.returncode == 0 and imported.stderr.strip() == "[]"
+        cli = ("import atexit, runpy, sys\n"
+               f"atexit.register(lambda: {report})\n"
+               "runpy.run_module('detperm.cli', run_name='__main__', alter_sys=True)\n")
+        verify = subprocess.run(
+            [sys.executable, "-c", cli, "verify", "--suite", str(EXAMPLE_SUITE), "--seed", "4"],
+            capture_output=True, text=True, env=env, timeout=300)
+        assert verify.returncode == 0, verify.stderr
+        assert len(verify.stdout.strip().splitlines()) == 9
+        assert verify.stderr.strip() == "[]"
 
     def test_malformed_suite_exits_two(self, tmp_path):
         suite = tmp_path / "broken.json"

@@ -72,6 +72,14 @@ class TestSampleProjection:
             assert len(config) == 2
             assert len(set(config.points)) == 2
 
+    def test_reused_basis_draws_as_a_fresh_one(self, rank2_basis):
+        # the weighted rows kept on a basis after its first draw change nothing
+        reused, fresh = dp.stream(3), dp.stream(3)
+        for _ in range(20):
+            copy = dp.ProjectionBasis(rank2_basis.functions, rank2_basis.ground)
+            assert (dp.sample_projection(rank2_basis, reused).points
+                    == dp.sample_projection(copy, fresh).points)
+
     def test_broken_trace_identity_raises(self, rank2_basis, rng):
         # rows scaled by 1.01 carry 1.0201 times the rank in intensity: the
         # sampler must refuse, not clamp and draw

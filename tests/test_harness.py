@@ -1,11 +1,13 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy import special, stats
 
 import detperm as dp
-from detperm.core import ParameterError
-from detperm.harness import run_suite
+from detperm.core import CapacityError, ParameterError, gamma_cdf
+from detperm.harness import chi2_sf, ks_distance, ks_sf, named_cdf, normal_cdf, run_suite
 
 from conftest import tabulate
 
@@ -85,6 +87,101 @@ class TestKsFit:
     def test_too_few_samples(self, rng):
         with pytest.raises(dp.DetpermError):
             dp.ks_fit(rng.random(5), "uniform")
+
+    @pytest.mark.parametrize("name, args", [
+        ("expon", ()), ("gamma", (2.5,)), ("gamma", ()), ("beta", (2, 2)),
+        ("beta", (-1, 1)), ("norm", (0, 1)), ("uniform", (1,)),
+    ])
+    def test_unsupported_law_names_the_table(self, rng, name, args):
+        with pytest.raises(ParameterError, match="supported: uniform.*norm.*gamma.*beta"):
+            dp.ks_fit(rng.random(100), name, args=args)
+
+    def test_non_finite_samples_rejected(self, rng):
+        x = rng.random(100)
+        x[3] = np.nan
+        with pytest.raises(dp.DetpermError, match="finite"):
+            dp.ks_fit(x, "uniform")
+
+    @pytest.mark.parametrize("name, args, draw", [
+        ("uniform", (), lambda r, n: r.random(n)),
+        ("norm", (), lambda r, n: r.normal(size=n)),
+        ("gamma", (1,), lambda r, n: r.gamma(1.0, size=n)),
+        ("gamma", (4,), lambda r, n: r.gamma(4.0, size=n)),
+        ("beta", (3, 1), lambda r, n: r.beta(3.0, 1.0, size=n)),
+        ("beta", (0.5, 1), lambda r, n: r.beta(0.5, 1.0, size=n)),
+    ])
+    @pytest.mark.parametrize("n", [12, 300, 20000])
+    def test_matches_scipy_kstest(self, name, args, draw, n):
+        x = draw(dp.stream(n), n)
+        ours = dp.ks_fit(x, name, args=args)
+        ref = stats.kstest(x, name, args=args)
+        assert ours.statistic == pytest.approx(ref.statistic, rel=0, abs=1e-13)
+        assert ours.p_value == pytest.approx(ref.pvalue, rel=0, abs=5e-6 if n > 140 else 2e-3)
+
+    def test_callable_cdf_gets_sorted_samples_and_args(self, rng):
+        x = rng.random(500) ** (1 / 3)
+        ours = dp.ks_fit(x, lambda t, a: np.clip(t, 0, 1) ** a, args=(3,))
+        ref = stats.kstest(x, "beta", args=(3, 1)).statistic
+        assert ours.statistic == pytest.approx(ref, rel=0, abs=1e-15)
+        assert ours.passed
+
+
+class TestClosedForms:
+    """The closed-form null laws against scipy, which the runtime never imports."""
+
+    def test_chi2_sf(self):
+        for dof in range(1, 200):
+            p = [1e-300, 1e-100, 1e-12, 1e-6, 1e-3, 0.05, 0.5, 0.95, 1 - 1e-9]
+            xs = np.concatenate([stats.chi2.isf(p, dof), [1e-8, 0.5, 3.0, 1000.0]])
+            ours = np.array([chi2_sf(float(x), dof) for x in xs])
+            np.testing.assert_allclose(ours, stats.chi2.sf(xs, dof), rtol=1e-11, atol=0)
+        assert chi2_sf(0.0, 3) == 1.0 and chi2_sf(-1.0, 2) == 1.0
+        assert chi2_sf(math.inf, 5) == 0.0
+        with pytest.raises(ParameterError):
+            chi2_sf(1.0, 0)
+
+    @pytest.mark.parametrize("n", [10, 17, 60, 140, 141, 400, 2000, 20000])
+    def test_ks_sf(self, n):
+        cut = math.sqrt(2.2 / n)
+        ds = np.unique(np.concatenate([
+            np.linspace(-0.1, 1.1, 49),                       # d <= 0 and d >= 1 included
+            np.arange(0, n + 1, max(1, n // 50)) / n,         # d = k/n exactly
+            cut * np.array([0.9, 0.999, 1.0, 1.001, 1.1]),    # either side of the branch cut
+            np.linspace(0.2, 3.0, 15) / math.sqrt(n),         # the bulk of the null law
+        ]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ours = np.array([ks_sf(float(d), n) for d in ds])
+        ref = np.clip(stats.kstwo.sf(ds, n), 0, 1)
+        tol = 5e-6 if n >= 141 else 2e-3
+        assert np.abs(ours - ref).max() <= tol
+        assert ((0 <= ours) & (ours <= 1)).all()
+
+    def test_gamma_cdf(self):
+        for shape in range(1, 41):
+            x = np.concatenate([[0.0, 1e-300, 1e-8, 800.0],
+                                np.linspace(0, 3 * shape + 40, 400)])
+            np.testing.assert_allclose(gamma_cdf(x, shape), special.gammainc(shape, x),
+                                       rtol=0, atol=2e-15)
+        assert gamma_cdf(-1.0, 2) == 0.0
+        with pytest.raises(CapacityError):
+            gamma_cdf(1.0, 501)
+
+    def test_normal_and_beta_cdfs(self):
+        x = np.concatenate([np.linspace(-37, 8, 2001), [0.0, -1e-10, 1e-10]])
+        np.testing.assert_allclose(normal_cdf(x), special.ndtr(x), rtol=1e-12, atol=0)
+        q = np.linspace(-0.5, 1.5, 401)
+        for a in (0.5, 1, 2, 7.5):
+            beta = named_cdf("beta", (a, 1))(q)
+            np.testing.assert_allclose(beta, np.clip(q, 0, 1) ** a, rtol=0, atol=0)
+            np.testing.assert_allclose(beta, stats.beta.cdf(q, a, 1), rtol=1e-13, atol=1e-15)
+        np.testing.assert_array_equal(named_cdf("uniform")(q), np.clip(q, 0, 1))
+
+    def test_ks_distance_with_ties(self):
+        # a lattice sample: the distance is read at both ends of each run of ties
+        z = np.repeat([-1.0, 0.0, 2.0], [3, 5, 2])
+        ref = stats.kstest(z, "norm").statistic
+        assert ks_distance(z, normal_cdf) == pytest.approx(ref, rel=0, abs=1e-15)
 
 
 class TestCltCheck:

@@ -52,6 +52,25 @@ class TestSpectrum:
             gram = (v.conj().T * ground.weights) @ v
             np.testing.assert_allclose(gram, np.eye(n), atol=1e-8)
 
+    def test_eigenvalues_without_eigenvectors(self, rng, monkeypatch):
+        eigh_calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: eigh_calls.append(1) or eigh(*a, **k))
+        for n, d in ((6, None), (9, 3), (3, 7)):  # dense, tall factor, wide factor
+            ground = dp.GroundSet(tuple(range(n)), rng.uniform(0.2, 3.0, size=n))
+            if d is None:
+                k = dp.HermitianKernel(random_hermitian(rng, n), ground)
+            else:
+                f = rng.normal(size=(n, d)) + 1j * rng.normal(size=(n, d))
+                k = dp.HermitianKernel.from_factor(f, rng.uniform(-1, 1, size=d), ground)
+            vals = dp.eigenvalues(k)
+            assert eigh_calls == [] and getattr(k, "_spectrum_cache", None) is None
+            assert vals.shape == (min(n, d or n),)
+            assert np.all(np.diff(vals) <= 0)
+            np.testing.assert_allclose(vals, dp.spectrum(k).eigenvalues, atol=1e-12)
+            assert dp.eigenvalues(k) is dp.spectrum(k).eigenvalues  # the cached spectrum's
+            eigh_calls.clear()
+
     def test_non_hermitian_rejected(self):
         with pytest.raises(SymmetryError):
             dp.HermitianKernel(

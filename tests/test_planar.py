@@ -193,18 +193,21 @@ class TestDiscretization:
     def test_factored_paths_never_densify(self, rng, monkeypatch):
         kernel, _ = dp.discretize_radial_kernel(dp.ginibre_spec(3), 0.3, 3.0)
         dense_reads, eigh_orders = [], []
-        matrix, eigh = dp.HermitianKernel.matrix, np.linalg.eigh
+        matrix = dp.HermitianKernel.matrix
 
         def read_matrix(k):
             dense_reads.append(k)
             return matrix.fget(k)
 
-        def counted_eigh(a, *args, **kwargs):
-            eigh_orders.append(len(a))
-            return eigh(a, *args, **kwargs)
+        def counted(solver):  # the order of every Hermitian eigensolver call
+            def call(a, *args, **kwargs):
+                eigh_orders.append(len(a))
+                return solver(a, *args, **kwargs)
+            return call
 
         monkeypatch.setattr(dp.HermitianKernel, "matrix", property(read_matrix))
-        monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+        monkeypatch.setattr(np.linalg, "eigh", counted(np.linalg.eigh))
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted(np.linalg.eigvalsh))
         disk = [i for i, z in enumerate(kernel.ground.labels) if abs(z) <= 1.5]
         for _ in range(20):
             dp.sample_dpp(kernel, rng)

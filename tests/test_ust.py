@@ -131,18 +131,21 @@ class TestTransferCurrentKernel:
         assert_spectra_agree(dp.spectrum(dense), dp.spectrum(k))
 
         dense_reads, eigh_orders = [], []
-        matrix, eigh = dp.HermitianKernel.matrix, np.linalg.eigh
+        matrix = dp.HermitianKernel.matrix
 
         def read_matrix(kernel):
             dense_reads.append(kernel)
             return matrix.fget(kernel)
 
-        def counted_eigh(a, *args, **kwargs):
-            eigh_orders.append(len(a))
-            return eigh(a, *args, **kwargs)
+        def counted(solver):  # the order of every Hermitian eigensolver call
+            def call(a, *args, **kwargs):
+                eigh_orders.append(len(a))
+                return solver(a, *args, **kwargs)
+            return call
 
         monkeypatch.setattr(dp.HermitianKernel, "matrix", property(read_matrix))
-        monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+        monkeypatch.setattr(np.linalg, "eigh", counted(np.linalg.eigh))
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted(np.linalg.eigvalsh))
         half = range(g.n_edges // 2)
         law = dp.count_pmf(dp.transfer_current_kernel(g), half)
         assert dense_reads == []
