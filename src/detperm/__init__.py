@@ -25,7 +25,6 @@ from .kernels import (
     validate_determinantal,
 )
 from .dpp import (
-    ProjectionBasis,
     count_pmf,
     joint_counts_observable,
     projection_density,

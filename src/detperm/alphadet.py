@@ -11,6 +11,7 @@ process can exist at all.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,12 +21,13 @@ from .core import (
     CountDistribution,
     KernelValidationError,
     PointConfiguration,
+    UnsupportedAlphaError,
     bernoulli_sum_pmf,
     clamp_nonnegative,
     geometric_sum_pmf,
     split,
 )
-from .core import UnsupportedAlphaError
+from .dpp import sample_dpp
 from .kernels import (
     Spectrum,
     alpha_det,
@@ -34,6 +36,7 @@ from .kernels import (
     spectrum,
     validate_determinantal,
 )
+from .permanental import sample_permanental
 
 DET_UNION = "det-union"
 PERM_UNION = "perm-union"
@@ -55,18 +58,14 @@ class AlphaRegime:
 
 def classify_alpha(alpha):
     """Classify alpha: union of -1/alpha determinantal copies, union of
-    1/alpha permanental copies, or unsupported."""
+    1/alpha permanental copies, or unsupported.  The copy count is
+    m = 1/|alpha| and the sign of alpha picks the mode; 0, +-inf and NaN,
+    which give no finite positive m, are unsupported."""
     a = float(alpha)
-    if a < 0:
-        m = -1.0 / a
-        mr = round(m)
-        if mr >= 1 and abs(m - mr) <= RECIPROCAL_TOL * max(1.0, mr):
-            return AlphaRegime(a, DET_UNION, int(mr))
-    elif a > 0:
-        m = 1.0 / a
-        mr = round(m)
-        if mr >= 1 and abs(m - mr) <= RECIPROCAL_TOL * max(1.0, mr):
-            return AlphaRegime(a, PERM_UNION, int(mr))
+    m = 1.0 / abs(a) if a else math.inf
+    copies = round(m) if math.isfinite(m) else 0
+    if copies >= 1 and abs(m - copies) <= RECIPROCAL_TOL * copies:
+        return AlphaRegime(a, DET_UNION if a < 0 else PERM_UNION, copies)
     return AlphaRegime(a, UNSUPPORTED)
 
 
@@ -104,14 +103,10 @@ def sample_alpha(kernel, alpha, rng):
             raise KernelValidationError(
                 f"-alpha*K is not determinantal: {verdict.reason}"
             )
-        from .dpp import sample_dpp
-
         for child in streams:
             points.extend(sample_dpp(base, child).points)
     else:
         base = scaled_kernel(kernel, regime.alpha)
-        from .permanental import sample_permanental
-
         for child in streams:
             points.extend(sample_permanental(base, child).points)
     return PointConfiguration(tuple(sorted(points)), simple=False)

@@ -14,8 +14,14 @@ import sys
 
 import numpy as np
 
+from . import planar
+from .alphadet import alpha_count_pmf, sample_alpha
 from .core import DetpermError, _encode_label, stream
+from .dpp import count_pmf, sample_dpp
+from .harness import run_suite
 from .kernels import HermitianKernel, parse_kernel_json, validate_determinantal
+from .permanental import count_pmf_perm, sample_permanental
+from .ust import Graph, sample_ust
 
 
 def _round12(obj):
@@ -81,15 +87,12 @@ def _cmd_sample(args):
     kernel = HermitianKernel.load(args.kernel)
     rng = stream(args.seed)
     if args.kind == "dpp":
-        from .dpp import sample_dpp as sampler
-        draw = lambda: sampler(kernel, rng)
+        draw = lambda: sample_dpp(kernel, rng)
     elif args.kind == "perm":
-        from .permanental import sample_permanental as sampler
-        draw = lambda: sampler(kernel, rng)
+        draw = lambda: sample_permanental(kernel, rng)
     else:
         if args.alpha is None:
             raise DetpermError("sampling kind 'alpha' requires --alpha")
-        from .alphadet import sample_alpha
         draw = lambda: sample_alpha(kernel, args.alpha, rng)
     with _open_out(args.out) as out:
         _emit_samples((draw() for _ in range(args.count)), kernel.ground, args.format, out)
@@ -100,23 +103,18 @@ def _cmd_counts(args):
     kernel = HermitianKernel.load(args.kernel)
     subset = [int(s) for s in args.subset.split(",")] if args.subset else []
     if args.kind == "dpp":
-        from .dpp import count_pmf
         law = count_pmf(kernel, subset)
     elif args.kind == "perm":
-        from .permanental import count_pmf_perm
         law = count_pmf_perm(kernel, subset, args.nmax)
     else:
         if args.alpha is None:
             raise DetpermError("count kind 'alpha' requires --alpha")
-        from .alphadet import alpha_count_pmf
         law = alpha_count_pmf(kernel, args.alpha, subset, args.nmax)
     _dump(law.to_json(), sys.stdout)
     return 0
 
 
 def _cmd_radial(args):
-    from . import planar
-
     spec = planar.RadialKernelSpec.load(args.spec)
     if args.action == "sample":
         rng = stream(args.seed)
@@ -147,8 +145,6 @@ def _cmd_radial(args):
 
 
 def _cmd_ust(args):
-    from .ust import Graph, sample_ust
-
     graph = Graph.load(args.graph)
     labels = graph.edge_labels()
     rng = stream(args.seed)
@@ -160,8 +156,6 @@ def _cmd_ust(args):
 
 
 def _cmd_verify(args):
-    from .harness import run_suite
-
     with open(args.suite) as fh:
         suite = json.load(fh)
     reports = run_suite(suite, args.seed)

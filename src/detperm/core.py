@@ -23,10 +23,8 @@ HERMITIAN_TOL = 1e-10
 # |det| of a minor at most this times Hadamard's bound (the product of its
 # row norms) reports an exact 0, so repeated-point minors vanish.
 SINGULARITY_TOL = 1e-12
-# Max deviation of a projection basis's weighted Gram matrix from I.
+# Max deviation of a spectrum's weighted Gram matrix from I.
 ORTHONORMALITY_TOL = 1e-8
-# Max distance of a projection kernel's eigenvalues from {0, 1}.
-PROJECTION_TOL = 1e-6
 # Max drift of the chain rule's residual trace from the number of points
 # still to draw, as a share of the rank.
 TRACE_TOL = 1e-6

@@ -1,20 +1,23 @@
 """Exact determinantal sampling.
 
 Every determinantal process is a Bernoulli mixture of projection
-processes: ``sample_dpp`` keeps each eigenfunction of the kernel with
-probability equal to its eigenvalue, and ``sample_projection`` then draws
-the projection process on the kept ones.  Counts in any subset therefore
-follow an explicit Bernoulli convolution.
+processes: ``sample_dpp`` keeps each eigenfunction of the kernel's
+``Spectrum`` with probability equal to its eigenvalue, and
+``sample_projection`` then draws the projection process onto the kept
+columns.  Counts in any subset therefore follow an explicit Bernoulli
+convolution.
 
 The projection sampler is the sequential Schur-complement ("Cholesky")
-chain rule.  Let V be the n x r factor of the projection: V V* is
-W^(1/2) K W^(1/2) for the atom masses W, and V has orthonormal columns.
+chain rule.  Let V be the kept columns of ``Spectrum.weighted``, the
+eigenfunctions times W^(1/2) for the atom masses W, checked orthonormal
+once per spectrum: V V* is W^(1/2) K W^(1/2) for the projection kernel K.
 The sampler keeps the residual diagonal d, the conditional intensity of
 every atom given the points drawn so far.  Each step picks an atom x with
 probability proportional to d, forms one new column of the Cholesky
-factor of V V* from column x, and subtracts its squared moduli from d:
-O(n r) per step and O(n r^2) per draw.  The same sampler draws random spanning trees
-(``ust``) and the determinantal copies of alpha-unions (``alphadet``).
+factor of V V* from row x of V, and subtracts its squared moduli from d:
+O(n r) per step and O(n r^2) per draw.  The same sampler draws random
+spanning trees (``ust``) and the determinantal copies of alpha-unions
+(``alphadet``).
 
 Note that the Bernoulli indicators are an auxiliary construction: they are
 not a measurable function of the sampled configuration, so no API here
@@ -24,19 +27,15 @@ exposes "which eigenfunctions were kept" as if it were observable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
     EIGENVALUE_TOL,
-    ORTHONORMALITY_TOL,
     PIVOT_TOL,
-    PROJECTION_TOL,
     TRACE_TOL,
     CountDistribution,
     DetpermError,
-    GroundSet,
     KernelValidationError,
     NumericalDegeneracyError,
     PointConfiguration,
@@ -44,66 +43,13 @@ from .core import (
     clamp_unit_interval,
     sample_categorical,
 )
-from .kernels import Spectrum, eigenvalues, restrict, spectrum, validate_determinantal
+from .kernels import eigenvalues, restrict, spectrum, validate_determinantal
 
 
-def _check_orthonormal(rows, weights):
-    gram = (rows * weights) @ rows.conj().T
-    if rows.shape[0] and not np.abs(gram - np.eye(rows.shape[0])).max() <= ORTHONORMALITY_TOL:
-        raise DetpermError("basis rows are not orthonormal under the weights")
-
-
-@dataclass(frozen=True)
-class ProjectionBasis:
-    """Rows are weighted-orthonormal functions spanning the range of a
-    projection kernel."""
-
-    functions: np.ndarray
-    ground: GroundSet
-
-    def __post_init__(self):
-        f = np.asarray(self.functions, dtype=complex)
-        if f.ndim != 2 or f.shape[1] != self.ground.size:
-            raise DetpermError("basis must be rank x ground-size")
-        object.__setattr__(self, "functions", f)
-        _check_orthonormal(f, self.ground.weights)
-
-    @property
-    def rank(self):
-        return self.functions.shape[0]
-
-    def kernel(self):
-        """The projection kernel, factored by the basis functions."""
-        return Spectrum(np.ones(self.rank), self.functions.T, self.ground).kernel()
-
-    @staticmethod
-    def from_spectrum(spec, indices):
-        """Basis from selected eigenfunction columns of a spectrum.  Columns
-        picked from an orthonormal set stay orthonormal, so the check runs
-        once per spectrum, over all its columns, not once per basis."""
-        if not getattr(spec, "_orthonormal", False):
-            _check_orthonormal(spec.eigenvectors.T, spec.ground.weights)
-            object.__setattr__(spec, "_orthonormal", True)
-        basis = object.__new__(ProjectionBasis)
-        object.__setattr__(basis, "functions", spec.eigenvectors[:, list(indices)].T)
-        object.__setattr__(basis, "ground", spec.ground)
-        return basis
-
-    @staticmethod
-    def from_kernel(kernel):
-        """Basis of a projection kernel (eigenvalues within PROJECTION_TOL
-        of {0, 1})."""
-        spec = spectrum(kernel)
-        vals = spec.eigenvalues
-        near_one = vals > 0.5
-        if np.any(np.abs(vals - np.round(vals)) > PROJECTION_TOL):
-            raise DetpermError("kernel is not a projection within tolerance")
-        return ProjectionBasis.from_spectrum(spec, np.nonzero(near_one)[0])
-
-
-def sample_projection(basis, rng):
-    """Draw the projection process spanned by ``basis``: exactly
-    ``basis.rank`` distinct points, in selection order.
+def sample_projection(spec, rng, keep=None):
+    """Draw the projection process onto the eigenfunctions of ``spec``, or
+    onto its columns ``keep``: exactly that many distinct points, in
+    selection order.  The eigenvalues are not read.
 
     Each step picks an atom x with probability proportional to its residual
     intensity d[x] (at the first step mu(x) * sum_i |phi_i(x)|^2), then
@@ -112,14 +58,8 @@ def sample_projection(basis, rng):
     residual must not have cancelled to rounding noise; either failure
     raises NumericalDegeneracyError.
     """
-    rank = basis.rank
-    # Kept on the basis, so that a reused basis (a graph's cached tree
-    # basis) draws without a fresh atoms x rank copy: allocating one per
-    # draw re-faults the heap pages the allocator trimmed after the last.
-    v = getattr(basis, "_weighted", None)
-    if v is None:
-        v = basis.functions.T * np.sqrt(basis.ground.weights)[:, None]
-        object.__setattr__(basis, "_weighted", v)
+    v = spec.weighted if keep is None else spec.weighted[:, keep]
+    rank = v.shape[1]
     d = (v.real**2 + v.imag**2).sum(axis=1)
     start = d.copy()
     cols = np.empty((len(d), rank), dtype=complex)
@@ -159,8 +99,7 @@ def sample_dpp(kernel, rng):
     spec = spectrum(kernel)
     lams = clamp_unit_interval(spec.eigenvalues)
     keep = np.nonzero(rng.random(len(lams)) < lams)[0]
-    basis = ProjectionBasis.from_spectrum(spec, keep)
-    return sample_projection(basis, rng)
+    return sample_projection(spec, rng, keep)
 
 
 def count_pmf(kernel, subset):
@@ -196,18 +135,15 @@ def joint_counts_observable(lambda_matrix, rng):
     return counts
 
 
-def projection_density(basis, points):
-    """Ordered-tuple density of a projection process against mu^r:
-    |det(phi_i(x_j))|^2 / r!."""
+def projection_density(spec, points):
+    """Ordered-tuple density against mu^r of the projection process onto
+    all r eigenfunctions of ``spec``: |det(phi_i(x_j))|^2 / r!."""
     idx = [int(p) for p in points]
-    if len(idx) != basis.rank:
-        raise DetpermError(
-            f"need exactly rank={basis.rank} points, got {len(idx)}"
-        )
-    if any(i < 0 or i >= basis.ground.size for i in idx):
+    if len(idx) != spec.size:
+        raise DetpermError(f"need exactly rank={spec.size} points, got {len(idx)}")
+    if any(i < 0 or i >= spec.ground.size for i in idx):
         raise DetpermError("point index outside the ground set")
-    if basis.rank == 0:
+    if spec.size == 0:
         return 1.0
-    m = basis.functions[:, idx]
-    det = np.linalg.det(m)
-    return float(abs(det) ** 2 / math.factorial(basis.rank))
+    det = np.linalg.det(spec.eigenvectors[idx])
+    return float(abs(det) ** 2 / math.factorial(spec.size))

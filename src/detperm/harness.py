@@ -13,7 +13,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DetpermError, ParameterError, bernoulli_sum_pmf, gamma_cdf, stream
+from .core import (
+    DetpermError,
+    ParameterError,
+    bernoulli_sum_pmf,
+    gamma_cdf,
+    sample_categorical,
+    stream,
+)
+from .dpp import count_pmf, sample_dpp
+from .kernels import HermitianKernel
+from .permanental import count_pmf_perm, sample_permanental
+from .planar import bergman_spec, ginibre_spec, sample_radial_moduli
+from .ust import Graph, sample_ust, transfer_current_kernel
 
 DEFAULT_SIGNIFICANCE = 1e-3
 MIN_EXPECTED = 5.0
@@ -130,8 +142,11 @@ _erfc = np.frompyfunc(math.erfc, 1, 1)
 
 
 def normal_cdf(x):
-    """The standard normal CDF, 0.5 erfc(-x / sqrt(2))."""
-    return 0.5 * _erfc(-np.asarray(x, dtype=float) / math.sqrt(2)).astype(float)
+    """The standard normal CDF, 0.5 erfc(-x / sqrt(2)), with one erfc call
+    per distinct value of x: count statistics repeat few values many times."""
+    x = np.asarray(x, dtype=float)
+    values, inverse = np.unique(x, return_inverse=True)
+    return (0.5 * _erfc(-values / math.sqrt(2)).astype(float))[inverse].reshape(x.shape)
 
 
 SUPPORTED_LAWS = "uniform(); norm(); gamma(k) with an integer k >= 1; beta(a, 1) with a > 0"
@@ -370,9 +385,6 @@ def _subset_count_fit(draw, subset, law, params, rng, description):
 
 
 def _check_dpp_count_law(params, rng):
-    from .dpp import count_pmf, sample_dpp
-    from .kernels import HermitianKernel
-
     kernel = HermitianKernel.load(params["kernel"])
     subset = params.get("subset", list(range(kernel.size)))
     return _subset_count_fit(lambda r: sample_dpp(kernel, r).points, subset,
@@ -381,9 +393,6 @@ def _check_dpp_count_law(params, rng):
 
 
 def _check_perm_count_law(params, rng):
-    from .kernels import HermitianKernel
-    from .permanental import count_pmf_perm, sample_permanental
-
     kernel = HermitianKernel.load(params["kernel"])
     subset = params.get("subset", list(range(kernel.size)))
     law = count_pmf_perm(kernel, subset, int(params.get("nmax", 80)))
@@ -393,8 +402,6 @@ def _check_perm_count_law(params, rng):
 
 
 def _check_categorical(params, rng):
-    from .core import sample_categorical
-
     w = np.asarray(params["weights"], dtype=float)
     n = int(params.get("samples", 100000))
     draws = [sample_categorical(w, rng) for _ in range(n)]
@@ -406,8 +413,6 @@ def _moduli_fits(spec, law, params, rng):
     """KS fit of each term's squared modulus, over ``params["samples"]``
     draws; ``law(k)`` gives the law's name in ``ks_fit``'s supported-law
     table, its parameters and the description for term k."""
-    from .planar import sample_radial_moduli
-
     n_samples = int(params.get("samples", 100000))
     draws = np.array([sample_radial_moduli(spec, rng) for _ in range(n_samples)])
     reports = []
@@ -418,16 +423,12 @@ def _moduli_fits(spec, law, params, rng):
 
 
 def _check_kostlan(params, rng):
-    from .planar import ginibre_spec
-
     return _moduli_fits(ginibre_spec(int(params["n"])),
                         lambda k: ("gamma", (k + 1,), f"modulus^2 #{k + 1} vs gamma({k + 1}, 1)"),
                         params, rng)
 
 
 def _check_gaf(params, rng):
-    from .planar import bergman_spec
-
     return _moduli_fits(bergman_spec(int(params["n"])),
                         lambda k: ("beta", (k + 1, 1), f"modulus^2 term {k} vs beta({k + 1}, 1)"),
                         params, rng)
@@ -444,9 +445,6 @@ def _check_clt(params, rng):
 
 
 def _check_ust_subset_counts(params, rng):
-    from .dpp import count_pmf
-    from .ust import Graph, sample_ust, transfer_current_kernel
-
     graph = Graph.load(params["graph"])
     subset = params.get("subset", list(range((graph.n_edges + 1) // 2)))
     law = count_pmf(transfer_current_kernel(graph), subset)

@@ -11,6 +11,7 @@ side of a rank-d factored one.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass
@@ -21,6 +22,7 @@ from .core import (
     EIGENVALUE_TOL,
     HERMITIAN_TOL,
     INTENSITY_IMAG_TOL,
+    ORTHONORMALITY_TOL,
     SINGULARITY_TOL,
     CapacityError,
     DetpermError,
@@ -171,6 +173,18 @@ class Spectrum:
     @property
     def size(self):
         return len(self.eigenvalues)
+
+    @functools.cached_property
+    def weighted(self):
+        """The eigenfunction columns times sqrt(mu): an n x size matrix with
+        orthonormal columns, the factor the projection sampler runs on.  The
+        first read checks the orthonormality and caches the matrix, so a
+        spectrum drawn from many times is checked once."""
+        v = self.eigenvectors * np.sqrt(self.ground.weights)[:, None]
+        gram = v.conj().T @ v
+        if self.size and not np.abs(gram - np.eye(self.size)).max() <= ORTHONORMALITY_TOL:
+            raise DetpermError("eigenfunctions are not orthonormal under the weights")
+        return v
 
     def kernel(self):
         """The kernel sum_k lambda_k phi_k(x) conj(phi_k(y)) of this

@@ -8,21 +8,24 @@ of C^(1/2) B, with B the signed edge-vertex incidence matrix and C the
 conductances, and it has rank |V| - 1.
 
 Grounding one vertex leaves B with full column rank, so a thin QR of
-C^(1/2) B gives an orthonormal basis of that column space.  The basis is
+C^(1/2) B gives an orthonormal basis of that column space: the
+eigenfunctions of the kernel, each with eigenvalue 1.  That spectrum is
 computed once per graph and cached on it; the kernel, the effective
 resistances and the tree sampler all read it.  A tree is one draw of the
-chain-rule projection sampler of ``dpp`` on that basis, at O(|E| |V|^2)
-per tree and with no pseudoinverse.
+chain-rule projection sampler of ``dpp`` on that spectrum, at
+O(|E| |V|^2) per tree and with no pseudoinverse.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import GraphError, GroundSet, NumericalDegeneracyError
-from .dpp import ProjectionBasis, sample_projection
+from .dpp import sample_projection
+from .kernels import Spectrum
 
 
 @dataclass(frozen=True)
@@ -54,6 +57,21 @@ class Graph:
                 raise GraphError(f"self-loop at {u} is not allowed")
         if not _connected(len(vertices), self._index_pairs()):
             raise GraphError("graph must be connected")
+
+    @functools.cached_property
+    def tree_spectrum(self):
+        """The spectrum of the transfer-current kernel over the edges (unit
+        masses): the columns of Q in a thin QR of C^(1/2) B with vertex 0
+        grounded, each with eigenvalue 1."""
+        b = _incidence(self.n_vertices, self._index_pairs())[:, 1:]
+        q, _ = np.linalg.qr(np.sqrt(self.conductances)[:, None] * b)
+        ground = GroundSet(self.edge_labels(), np.ones(self.n_edges))
+        spec = Spectrum(np.ones(q.shape[1]), q.astype(complex), ground)
+        # Held complex, so the kernel's factor shares Q instead of copying
+        # it, and checked now, at set-up, so no tree or count law pays for
+        # the check or allocates alongside its temporaries.
+        spec.weighted
+        return spec
 
     def _index_pairs(self):
         pos = {v: i for i, v in enumerate(self.vertices)}
@@ -133,44 +151,29 @@ def _incidence(n_vertices, index_pairs):
     return b
 
 
-def _tree_basis(graph):
-    """The projection basis of the transfer-current kernel, cached on the
-    graph: the columns of Q in a thin QR of C^(1/2) B with vertex 0
-    grounded, as rows over the edges (unit masses)."""
-    cached = getattr(graph, "_tree_basis_cache", None)
-    if cached is not None:
-        return cached
-    b = _incidence(graph.n_vertices, graph._index_pairs())[:, 1:]
-    q, _ = np.linalg.qr(np.sqrt(graph.conductances)[:, None] * b)
-    ground = GroundSet(graph.edge_labels(), np.ones(graph.n_edges))
-    basis = ProjectionBasis(q.T, ground)
-    object.__setattr__(graph, "_tree_basis_cache", basis)
-    return basis
-
-
 def transfer_current_kernel(graph):
     """Determinantal kernel of the weighted spanning tree on the edge set
     (counting measure): C^(1/2) B L^+ B^T C^(1/2), an orthogonal
     projection of rank |V| - 1 with diagonal c_e R(e) = P(e in tree),
-    held as the factor of the tree basis."""
-    return _tree_basis(graph).kernel()
+    held as the factor of the graph's tree spectrum."""
+    return graph.tree_spectrum.kernel()
 
 
 def effective_resistance(graph, edge):
     """Voltage across an edge when a unit current is driven along it."""
     e = graph.edge_index(edge)
-    column = _tree_basis(graph).functions[:, e]
-    return float((np.abs(column) ** 2).sum() / graph.conductances[e])
+    row = graph.tree_spectrum.eigenvectors[e]
+    return float((np.abs(row) ** 2).sum() / graph.conductances[e])
 
 
 def sample_ust(graph, rng):
     """Draw one spanning tree (edge indices), distributed proportionally
     to the product of its conductances: one projection-process draw on
-    the transfer-current basis."""
+    the transfer-current spectrum."""
     if graph.n_vertices == 1:
         return ()
     try:
-        config = sample_projection(_tree_basis(graph), rng)
+        config = sample_projection(graph.tree_spectrum, rng)
     except NumericalDegeneracyError as exc:
         raise GraphError(f"spanning-tree sampler degenerated: {exc}") from exc
     return tuple(sorted(config.points))

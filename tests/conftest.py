@@ -127,6 +127,14 @@ def kernel_from_spectrum(ground, eigenvalues, rng, factored=False):
     return dp.HermitianKernel(matrix, ground)
 
 
+def projection_spectrum(kernel):
+    """The spectrum of a projection kernel cut to its eigenfunctions with
+    eigenvalue 1 (above 0.5), held with unit eigenvalues."""
+    spec = dp.spectrum(kernel)
+    keep = spec.eigenvalues > 0.5
+    return dp.Spectrum(np.ones(keep.sum()), spec.eigenvectors[:, keep], spec.ground)
+
+
 def assert_spectra_agree(dense, factored, tol=1e-10, gap=1e-6):
     """A factored spectrum against the dense spectrum of the same kernel:
     the eigenvalues zero-padded to the ground size, and the weighted

@@ -23,6 +23,7 @@ from conftest import (
     enumerate_spanning_trees,
     kernel_from_spectrum,
     projection_from_rank,
+    projection_spectrum,
     tabulate,
 )
 
@@ -98,9 +99,9 @@ def test_criterion_02_kernel_validation_round_trip(ginibre_grid):
 def test_criterion_03_projection_sampler_exact_law():
     rng = dp.stream(903)
     ground = dp.GroundSet(tuple("abcd"), np.array([0.5, 1.0, 1.5, 2.0]))
-    basis = dp.ProjectionBasis.from_kernel(projection_from_rank(ground, 2, rng))
+    spec = projection_spectrum(projection_from_rank(ground, 2, rng))
     law = {}
-    k = basis.kernel().matrix
+    k = spec.kernel().matrix
     for subset in itertools.combinations(range(4), 2):
         minor = k[np.ix_(subset, subset)]
         law[subset] = float(np.linalg.det(minor).real) * math.prod(
@@ -109,7 +110,7 @@ def test_criterion_03_projection_sampler_exact_law():
     counts = Counter()
     violations = 0
     for _ in range(N):
-        config = dp.sample_projection(basis, rng)
+        config = dp.sample_projection(spec, rng)
         if len(config) != 2 or len(set(config.points)) != 2:
             violations += 1
         counts[tuple(sorted(config.points))] += 1

@@ -35,6 +35,10 @@ class TestClassify:
             (-0.4, UNSUPPORTED, None),
             (2.0, UNSUPPORTED, None),
             (0.0, UNSUPPORTED, None),
+            (-2.0, UNSUPPORTED, None),
+            (math.nan, UNSUPPORTED, None),
+            (math.inf, UNSUPPORTED, None),
+            (-math.inf, UNSUPPORTED, None),
         ],
     )
     def test_modes(self, alpha, mode, copies):

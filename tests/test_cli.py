@@ -243,10 +243,10 @@ class TestVerifyCommand:
     def test_failing_suite_exits_one(self, tmp_path, monkeypatch, capsys):
         # a categorical sampler that returns index 0 on a tenth of its draws
         # regardless of the weights fails its frequency check
-        from detperm import core
+        from detperm import harness
 
-        draw = core.sample_categorical
-        monkeypatch.setattr(core, "sample_categorical",
+        draw = harness.sample_categorical
+        monkeypatch.setattr(harness, "sample_categorical",
                             lambda w, rng: 0 if rng.random() < 0.1 else draw(w, rng))
         suite = tmp_path / "suite.json"
         suite.write_text(

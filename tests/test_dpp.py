@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 from collections import Counter
@@ -12,6 +13,7 @@ from conftest import (
     kernel_from_spectrum,
     occupancy_pmf_exact,
     projection_from_rank,
+    projection_spectrum,
     tabulate,
 )
 
@@ -25,18 +27,17 @@ def four_point_ground():
 
 
 @pytest.fixture
-def rank2_basis(four_point_ground, rng):
-    proj = projection_from_rank(four_point_ground, 2, rng)
-    return dp.ProjectionBasis.from_kernel(proj)
+def rank2_spec(four_point_ground, rng):
+    return projection_spectrum(projection_from_rank(four_point_ground, 2, rng))
 
 
-def exact_subset_law(basis):
+def exact_subset_law(spec):
     """Probability of each r-subset: det of the kernel minor times the
     product of the weights (enumeration oracle)."""
-    k = basis.kernel().matrix
-    w = basis.ground.weights
+    k = spec.kernel().matrix
+    w = spec.ground.weights
     law = {}
-    for subset in itertools.combinations(range(basis.ground.size), basis.rank):
+    for subset in itertools.combinations(range(spec.ground.size), spec.size):
         minor = k[np.ix_(subset, subset)]
         law[subset] = float(np.linalg.det(minor).real) * math.prod(w[i] for i in subset)
     return law
@@ -44,21 +45,20 @@ def exact_subset_law(basis):
 
 class TestSampleProjection:
     def test_rank_zero_is_empty(self, four_point_ground, rng):
-        basis = dp.ProjectionBasis(np.zeros((0, 4), dtype=complex), four_point_ground)
-        assert dp.sample_projection(basis, rng).points == ()
+        spec = dp.Spectrum(np.zeros(0), np.zeros((4, 0), dtype=complex), four_point_ground)
+        assert dp.sample_projection(spec, rng).points == ()
 
     def test_full_rank_returns_everything(self, four_point_ground, rng):
-        proj = projection_from_rank(four_point_ground, 4, rng)
-        basis = dp.ProjectionBasis.from_kernel(proj)
+        spec = projection_spectrum(projection_from_rank(four_point_ground, 4, rng))
         for _ in range(10):
-            config = dp.sample_projection(basis, rng)
+            config = dp.sample_projection(spec, rng)
             assert sorted(config.points) == [0, 1, 2, 3]
 
-    def test_exact_two_subset_law(self, rank2_basis, rng):
-        law = exact_subset_law(rank2_basis)
+    def test_exact_two_subset_law(self, rank2_spec, rng):
+        law = exact_subset_law(rank2_spec)
         assert abs(sum(law.values()) - 1.0) < 1e-10
         counts = Counter(
-            tuple(sorted(dp.sample_projection(rank2_basis, rng).points))
+            tuple(sorted(dp.sample_projection(rank2_spec, rng).points))
             for _ in range(N_SAMPLES)
         )
         observed = np.array([counts.get(s, 0) for s in law])
@@ -66,31 +66,40 @@ class TestSampleProjection:
         report = dp.chi_square_fit(observed, expected)
         assert report.p_value > ALPHA, report
 
-    def test_cardinality_always_exact(self, rank2_basis, rng):
+    def test_cardinality_always_exact(self, rank2_spec, rng):
         for _ in range(2000):
-            config = dp.sample_projection(rank2_basis, rng)
+            config = dp.sample_projection(rank2_spec, rng)
             assert len(config) == 2
             assert len(set(config.points)) == 2
 
-    def test_reused_basis_draws_as_a_fresh_one(self, rank2_basis):
-        # the weighted rows kept on a basis after its first draw change nothing
+    def test_reused_basis_draws_as_a_fresh_one(self, rank2_spec):
+        # the weighted columns cached on a spectrum after its first draw
+        # change nothing
         reused, fresh = dp.stream(3), dp.stream(3)
         for _ in range(20):
-            copy = dp.ProjectionBasis(rank2_basis.functions, rank2_basis.ground)
-            assert (dp.sample_projection(rank2_basis, reused).points
+            copy = dp.Spectrum(rank2_spec.eigenvalues, rank2_spec.eigenvectors, rank2_spec.ground)
+            assert (dp.sample_projection(rank2_spec, reused).points
                     == dp.sample_projection(copy, fresh).points)
 
-    def test_broken_trace_identity_raises(self, rank2_basis, rng):
-        # rows scaled by 1.01 carry 1.0201 times the rank in intensity: the
-        # sampler must refuse, not clamp and draw
-        object.__setattr__(rank2_basis, "functions", 1.01 * rank2_basis.functions)
-        with pytest.raises(NumericalDegeneracyError, match="drifted"):
-            dp.sample_projection(rank2_basis, rng)
+    def test_all_columns_kept_draws_as_no_keep(self, rng):
+        ground = dp.GroundSet(tuple(range(6)), rng.uniform(0.5, 2.0, size=6))
+        spec = projection_spectrum(projection_from_rank(ground, 3, rng))
+        whole, kept = dp.stream(3), dp.stream(3)
+        for _ in range(20):
+            assert (dp.sample_projection(spec, whole).points
+                    == dp.sample_projection(spec, kept, np.arange(spec.size)).points)
 
-    def test_draw_order_is_exchangeable(self, rank2_basis, rng):
+    def test_broken_trace_identity_raises(self, rank2_spec, rng):
+        # columns scaled by 1.01 carry 1.0201 times the rank in intensity:
+        # the sampler must refuse, not clamp and draw
+        object.__setattr__(rank2_spec, "weighted", 1.01 * rank2_spec.weighted)
+        with pytest.raises(NumericalDegeneracyError, match="drifted"):
+            dp.sample_projection(rank2_spec, rng)
+
+    def test_draw_order_is_exchangeable(self, rank2_spec, rng):
         first, last = [], []
         for _ in range(N_SAMPLES):
-            config = dp.sample_projection(rank2_basis, rng)
+            config = dp.sample_projection(rank2_spec, rng)
             first.append(config.points[0])
             last.append(config.points[-1])
         report = dp.chi_square_homogeneity(tabulate(first, 4), tabulate(last, 4))
@@ -104,10 +113,10 @@ class TestSampleDpp:
             assert dp.sample_dpp(k, rng).points == ()
 
     def test_projection_kernel_same_law_as_projection_sampler(
-        self, rank2_basis, rng
+        self, rank2_spec, rng
     ):
-        kernel = rank2_basis.kernel()
-        law = exact_subset_law(rank2_basis)
+        kernel = rank2_spec.kernel()
+        law = exact_subset_law(rank2_spec)
         counts = Counter(
             tuple(sorted(dp.sample_dpp(kernel, rng).points)) for _ in range(N_SAMPLES)
         )
@@ -129,12 +138,12 @@ class TestSampleDpp:
 
 
 class TestCountPmf:
-    def test_full_projection_point_mass(self, rank2_basis):
-        law = dp.count_pmf(rank2_basis.kernel(), [0, 1, 2, 3])
+    def test_full_projection_point_mass(self, rank2_spec):
+        law = dp.count_pmf(rank2_spec.kernel(), [0, 1, 2, 3])
         assert abs(law.pmf[2] - 1.0) < 1e-10
 
-    def test_empty_subset(self, rank2_basis):
-        law = dp.count_pmf(rank2_basis.kernel(), [])
+    def test_empty_subset(self, rank2_spec):
+        law = dp.count_pmf(rank2_spec.kernel(), [])
         assert law.pmf.tolist() == [1.0]
 
     def test_exact_mean_variance(self, rng):
@@ -173,29 +182,28 @@ class TestJointCountsObservable:
 
 class TestProjectionDensity:
     def test_rank_one(self, four_point_ground, rng):
-        proj = projection_from_rank(four_point_ground, 1, rng)
-        basis = dp.ProjectionBasis.from_kernel(proj)
+        spec = projection_spectrum(projection_from_rank(four_point_ground, 1, rng))
         for x in range(4):
-            expected = abs(basis.functions[0, x]) ** 2
-            assert abs(dp.projection_density(basis, [x]) - expected) < 1e-12
+            expected = abs(spec.eigenvectors[x, 0]) ** 2
+            assert abs(dp.projection_density(spec, [x]) - expected) < 1e-12
 
-    def test_repeated_point_is_zero(self, rank2_basis):
-        assert dp.projection_density(rank2_basis, [1, 1]) == 0.0
+    def test_repeated_point_is_zero(self, rank2_spec):
+        assert dp.projection_density(rank2_spec, [1, 1]) == 0.0
 
-    def test_normalization_over_subsets(self, rank2_basis):
-        w = rank2_basis.ground.weights
+    def test_normalization_over_subsets(self, rank2_spec):
+        w = rank2_spec.ground.weights
         total = sum(
             math.factorial(2)
-            * dp.projection_density(rank2_basis, list(s))
+            * dp.projection_density(rank2_spec, list(s))
             * w[s[0]]
             * w[s[1]]
             for s in itertools.combinations(range(4), 2)
         )
         assert abs(total - 1.0) < 1e-10
 
-    def test_length_mismatch(self, rank2_basis):
+    def test_length_mismatch(self, rank2_spec):
         with pytest.raises(dp.DetpermError):
-            dp.projection_density(rank2_basis, [0])
+            dp.projection_density(rank2_spec, [0])
 
 
 class TestDistributionalInvariants:
@@ -245,31 +253,26 @@ class TestDistributionalInvariants:
 
 
 class TestProjectionBasis:
-    def test_rejects_non_orthonormal_rows(self, four_point_ground):
-        rows = np.ones((2, 4), dtype=complex)
-        with pytest.raises(dp.DetpermError):
-            dp.ProjectionBasis(rows, four_point_ground)
+    def test_rejects_non_orthonormal_rows(self, four_point_ground, rng):
+        spec = dp.Spectrum(np.ones(2), np.ones((4, 2), dtype=complex), four_point_ground)
+        with pytest.raises(dp.DetpermError, match="orthonormal"):
+            dp.sample_projection(spec, rng)
 
-    def test_from_kernel_rejects_non_projection(self, rng):
-        kernel = kernel_from_spectrum(dp.GroundSet.uniform(3), [0.2, 0.5, 0.9], rng)
-        with pytest.raises(dp.DetpermError):
-            dp.ProjectionBasis.from_kernel(kernel)
-
-    def test_idempotence_check(self, rank2_basis):
-        k = rank2_basis.kernel().matrix
-        np.testing.assert_allclose((k * rank2_basis.ground.weights) @ k, k, atol=1e-6)
+    def test_idempotence_check(self, rank2_spec):
+        k = rank2_spec.kernel().matrix
+        np.testing.assert_allclose((k * rank2_spec.ground.weights) @ k, k, atol=1e-6)
 
     def test_spectrum_orthonormality_checked_once(self, rng, monkeypatch):
-        from detperm import dpp
-
         calls = []
-        check = dpp._check_orthonormal
+        weighted = dp.Spectrum.weighted.func
 
-        def counted(rows, weights):
+        def counted(spec):
             calls.append(1)
-            return check(rows, weights)
+            return weighted(spec)
 
-        monkeypatch.setattr(dpp, "_check_orthonormal", counted)
+        prop = functools.cached_property(counted)
+        prop.__set_name__(dp.Spectrum, "weighted")
+        monkeypatch.setattr(dp.Spectrum, "weighted", prop)
         ground = dp.GroundSet(tuple(range(6)), rng.uniform(0.5, 2.0, size=6))
         kernel = kernel_from_spectrum(ground, [0.9, 0.7, 0.5], rng, factored=True)
         for _ in range(50):

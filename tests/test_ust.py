@@ -9,7 +9,12 @@ import detperm as dp
 from detperm.core import GraphError
 from detperm.ust import Graph, is_spanning_tree
 
-from conftest import assert_spectra_agree, enumerate_spanning_trees, tabulate
+from conftest import (
+    assert_spectra_agree,
+    enumerate_spanning_trees,
+    projection_spectrum,
+    tabulate,
+)
 
 ALPHA = 1e-3
 N_SAMPLES = 10000
@@ -232,11 +237,10 @@ class TestSampleUst:
             assert abs(freq - k[e, e]) < 4 * se
 
     def test_agreement_with_projection_sampler(self, square_chord, rng):
-        kernel = dp.transfer_current_kernel(square_chord)
-        basis = dp.ProjectionBasis.from_kernel(kernel)
+        spec = projection_spectrum(dp.transfer_current_kernel(square_chord))
         a = Counter(dp.sample_ust(square_chord, rng) for _ in range(N_SAMPLES))
         b = Counter(
-            tuple(sorted(dp.sample_projection(basis, rng).points))
+            tuple(sorted(dp.sample_projection(spec, rng).points))
             for _ in range(N_SAMPLES)
         )
         report = dp.chi_square_homogeneity(a, b)
