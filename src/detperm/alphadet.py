@@ -144,10 +144,6 @@ class WitnessResult:
     def verdict(self):
         return "negative_intensity" if self.value < 0 else "inconclusive"
 
-    @property
-    def negative(self):
-        return self.value < 0
-
 
 def existence_witness(alpha):
     """Evaluate the three-point witness kernel's alpha-determinant; a

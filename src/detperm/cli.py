@@ -16,10 +16,10 @@ import numpy as np
 
 from . import planar
 from .alphadet import alpha_count_pmf, sample_alpha
-from .core import DetpermError, _encode_label, stream
+from .core import DetpermError, SymmetryError, _encode_label, stream
 from .dpp import count_pmf, sample_dpp
 from .harness import run_suite
-from .kernels import HermitianKernel, parse_kernel_json, validate_determinantal
+from .kernels import HermitianKernel, KernelVerdict, validate_determinantal
 from .permanental import count_pmf_perm, sample_permanental
 from .ust import Graph, sample_ust
 
@@ -62,9 +62,10 @@ def _open_out(path):
 
 
 def _cmd_validate(args):
-    with open(args.kernel) as fh:
-        ground, matrix = parse_kernel_json(json.load(fh))
-    verdict = validate_determinantal(matrix, ground)
+    try:
+        verdict = validate_determinantal(HermitianKernel.load(args.kernel))
+    except SymmetryError as exc:  # a verdict, not malformed input
+        verdict = KernelVerdict(False, str(exc))
     payload = {"valid": verdict.valid}
     if not verdict.valid:
         payload["reason"] = verdict.reason

@@ -8,7 +8,6 @@ parallel batches.  No module touches numpy's global RNG.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -39,6 +38,8 @@ NORMALIZATION_TOL = 1e-8
 INTENSITY_IMAG_TOL = 1e-9
 # Max distance of a count law's pmf plus tail bound from total mass 1.
 PMF_MASS_TOL = 1e-12
+# Max eigenvalue clamp of a discretized radial kernel; a coarser grid raises.
+DISCRETIZATION_CLAMP_TOL = 0.05
 
 GAMMA_SHAPE_CAP = 500  # gamma_cdf sums shape Poisson terms from e^(-x)
 
@@ -194,15 +195,6 @@ class GroundSet:
             tuple(_decode_label(x) for x in obj["labels"]),
             np.asarray(obj["weights"], dtype=float),
         )
-
-    def save(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh)
-
-    @staticmethod
-    def load(path):
-        with open(path) as fh:
-            return GroundSet.from_json(json.load(fh))
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ for bit from its inputs.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -17,14 +18,13 @@ from .core import (
     DetpermError,
     ParameterError,
     bernoulli_sum_pmf,
-    gamma_cdf,
     sample_categorical,
     stream,
 )
 from .dpp import count_pmf, sample_dpp
 from .kernels import HermitianKernel
 from .permanental import count_pmf_perm, sample_permanental
-from .planar import bergman_spec, ginibre_spec, sample_radial_moduli
+from .planar import base_density, bergman_spec, ginibre_spec, sample_radial_moduli
 from .ust import Graph, sample_ust, transfer_current_kernel
 
 DEFAULT_SIGNIFICANCE = 1e-3
@@ -149,26 +149,6 @@ def normal_cdf(x):
     return (0.5 * _erfc(-values / math.sqrt(2)).astype(float))[inverse].reshape(x.shape)
 
 
-SUPPORTED_LAWS = "uniform(); norm(); gamma(k) with an integer k >= 1; beta(a, 1) with a > 0"
-
-
-def named_cdf(name, args=()):
-    """The CDF, as a function of an array, of a law of the supported-law
-    table SUPPORTED_LAWS with parameters ``args``; any other law raises
-    ParameterError."""
-    args = tuple(args)
-    if name == "uniform" and not args:
-        return lambda x: np.clip(x, 0.0, 1.0)
-    if name == "norm" and not args:
-        return normal_cdf
-    if name == "gamma" and len(args) == 1 and float(args[0]).is_integer() and args[0] >= 1:
-        return lambda x: gamma_cdf(x, int(args[0]))
-    if name == "beta" and len(args) == 2 and 0 < args[0] < math.inf and args[1] == 1:
-        return lambda x: np.clip(x, 0.0, 1.0) ** args[0]
-    raise ParameterError(f"unsupported law {name!r} with parameters {args}; "
-                         f"supported: {SUPPORTED_LAWS}")
-
-
 def ks_distance(samples, cdf):
     """The two-sided KS distance between the empirical CDF of ``samples``
     and ``cdf``, from the sorted sample: max over i of i/n - F(x_(i)) and
@@ -196,14 +176,14 @@ def counts_from_values(values, n_bins=None):
     return np.bincount(v, minlength=length)
 
 
-def _merge_low_bins(observed, expected, min_expected=MIN_EXPECTED):
-    """Greedily merge adjacent bins until every expected count reaches the
-    threshold (classical validity condition for the Pearson statistic)."""
+def _merge_low_bins(observed, expected):
+    """Greedily merge adjacent bins until every expected count reaches
+    MIN_EXPECTED (classical validity condition for the Pearson statistic)."""
     obs = [float(o) for o in observed]
     exp = [float(e) for e in expected]
     i = 0
     while i < len(exp):
-        if exp[i] >= min_expected or len(exp) == 1:
+        if exp[i] >= MIN_EXPECTED or len(exp) == 1:
             i += 1
             continue
         j = i + 1 if i + 1 < len(exp) else i - 1
@@ -288,20 +268,16 @@ def chi_square_homogeneity(counts_a, counts_b, significance=DEFAULT_SIGNIFICANCE
                       significance, {"dof": dof})
 
 
-def ks_fit(samples, cdf, args=(), significance=DEFAULT_SIGNIFICANCE,
+def ks_fit(samples, cdf, significance=DEFAULT_SIGNIFICANCE,
            description="Kolmogorov-Smirnov fit"):
-    """One-sample KS test against a law of the supported-law table
-    SUPPORTED_LAWS (``uniform()``, ``norm()``, ``gamma(k)`` with an integer
-    k, ``beta(a, 1)``), named with its parameters in ``args``, or against a
-    callable CDF ``cdf(x, *args)``.  The p-value is ``ks_sf`` of the
-    distance."""
+    """One-sample KS test against a continuous law given by its CDF, a
+    function of an array.  The p-value is ``ks_sf`` of the distance."""
     x = np.asarray(samples, dtype=float)
     if x.size < 10:
         raise DetpermError(f"need at least 10 samples, got {x.size}")
     if not np.isfinite(x).all():
         raise DetpermError("samples must be finite")
-    law = named_cdf(cdf, args) if isinstance(cdf, str) else (lambda v: cdf(v, *args))
-    stat = ks_distance(x, law)
+    stat = ks_distance(x, cdf)
     p = ks_sf(stat, x.size)
     return TestReport(description, stat, p, int(x.size), p > significance, significance)
 
@@ -409,29 +385,25 @@ def _check_categorical(params, rng):
                            description="categorical sampler frequencies")]
 
 
-def _moduli_fits(spec, law, params, rng):
+def _moduli_fits(spec, describe, params, rng):
     """KS fit of each term's squared modulus, over ``params["samples"]``
-    draws; ``law(k)`` gives the law's name in ``ks_fit``'s supported-law
-    table, its parameters and the description for term k."""
+    draws, against the term's law in the spec's radial base;
+    ``describe(k)`` gives the description for term k."""
     n_samples = int(params.get("samples", 100000))
     draws = np.array([sample_radial_moduli(spec, rng) for _ in range(n_samples)])
-    reports = []
-    for k in range(len(spec.terms)):
-        name, args, description = law(k)
-        reports.append(ks_fit(draws[:, k], name, args=args, description=description))
-    return reports
+    cdf_q = base_density(spec.base).cdf_q
+    return [ks_fit(draws[:, k], functools.partial(cdf_q, t.degree), description=describe(k))
+            for k, t in enumerate(spec.terms)]
 
 
 def _check_kostlan(params, rng):
     return _moduli_fits(ginibre_spec(int(params["n"])),
-                        lambda k: ("gamma", (k + 1,), f"modulus^2 #{k + 1} vs gamma({k + 1}, 1)"),
-                        params, rng)
+                        lambda k: f"modulus^2 #{k + 1} vs gamma({k + 1}, 1)", params, rng)
 
 
 def _check_gaf(params, rng):
     return _moduli_fits(bergman_spec(int(params["n"])),
-                        lambda k: ("beta", (k + 1, 1), f"modulus^2 term {k} vs beta({k + 1}, 1)"),
-                        params, rng)
+                        lambda k: f"modulus^2 term {k} vs beta({k + 1}, 1)", params, rng)
 
 
 def _check_clt(params, rng):

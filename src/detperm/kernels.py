@@ -122,7 +122,24 @@ class HermitianKernel:
 
     @staticmethod
     def from_json(obj):
-        ground, matrix = parse_kernel_json(obj)
+        """Parse ``{"ground": ..., "matrix": [[[re, im], ...], ...]}`` or the
+        real shorthand ``{"matrix_real": [[...]]}``.  A missing ground
+        defaults to indices 0..n-1 with unit weights."""
+        if "matrix_real" in obj:
+            matrix = np.asarray(obj["matrix_real"], dtype=float).astype(complex)
+        elif "matrix" in obj:
+            matrix = np.array(
+                [[complex(entry[0], entry[1]) for entry in row] for row in obj["matrix"]],
+                dtype=complex,
+            )
+        else:
+            raise DetpermError("kernel JSON needs a 'matrix' or 'matrix_real' field")
+        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+            raise DetpermError(f"kernel matrix must be square, got shape {matrix.shape}")
+        if "ground" in obj:
+            ground = GroundSet.from_json(obj["ground"])
+        else:
+            ground = GroundSet.uniform(matrix.shape[0])
         return HermitianKernel(matrix, ground)
 
     def save(self, path):
@@ -133,32 +150,6 @@ class HermitianKernel:
     def load(path):
         with open(path) as fh:
             return HermitianKernel.from_json(json.load(fh))
-
-
-def parse_kernel_json(obj):
-    """Parse the kernel file format without enforcing Hermitian symmetry.
-
-    Accepts ``{"ground": ..., "matrix": [[[re, im], ...], ...]}`` or the
-    real shorthand ``{"matrix_real": [[...]]}``.  A missing ground defaults
-    to indices 0..n-1 with unit weights.  Returns ``(ground, matrix)``.
-    """
-    if "matrix_real" in obj:
-        matrix = np.asarray(obj["matrix_real"], dtype=float).astype(complex)
-    elif "matrix" in obj:
-        raw = obj["matrix"]
-        matrix = np.array(
-            [[complex(entry[0], entry[1]) for entry in row] for row in raw],
-            dtype=complex,
-        )
-    else:
-        raise DetpermError("kernel JSON needs a 'matrix' or 'matrix_real' field")
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise DetpermError(f"kernel matrix must be square, got shape {matrix.shape}")
-    if "ground" in obj:
-        ground = GroundSet.from_json(obj["ground"])
-    else:
-        ground = GroundSet.uniform(matrix.shape[0])
-    return ground, matrix
 
 
 @dataclass(frozen=True)
@@ -268,24 +259,13 @@ class KernelVerdict:
         return self.valid
 
 
-def validate_determinantal(kernel, ground=None):
-    """Decide whether a kernel can carry a determinantal process.
-
-    Valid iff the matrix is Hermitian and every eigenvalue (in the
-    weighted inner product) lies in [0, 1] up to clamping tolerance.
-    Accepts a HermitianKernel, or a raw matrix plus optional ground set so
-    that non-Hermitian input yields an invalid verdict instead of an error.
-    Non-finite or non-square input is malformed and raises.
+def validate_determinantal(kernel):
+    """Decide whether a HermitianKernel can carry a determinantal process:
+    valid iff every eigenvalue (in the weighted inner product) lies in
+    [0, 1] up to EIGENVALUE_TOL.  The Hermitian condition is the kernel
+    type's own: constructing a HermitianKernel from a non-Hermitian matrix
+    raises SymmetryError.
     """
-    if not isinstance(kernel, HermitianKernel):
-        m = np.asarray(kernel, dtype=complex)
-        try:
-            _check_hermitian(m)
-        except SymmetryError as exc:
-            return KernelVerdict(False, str(exc))
-        if ground is None:
-            ground = GroundSet.uniform(m.shape[0])
-        kernel = HermitianKernel(m, ground)
     vals = spectrum(kernel).eigenvalues
     if vals.size and vals.max() > 1 + EIGENVALUE_TOL:
         lam = float(vals.max())

@@ -55,9 +55,7 @@ def count_pmf_perm(kernel, subset, n_max):
     idx = list(subset)
     if not idx:
         return CountDistribution(np.array([1.0]), 0.0)
-    sub = restrict(kernel, idx)
-    lams = clamp_nonnegative(eigenvalues(sub))
-    return geometric_sum_pmf(lams, n_max)
+    return geometric_sum_pmf(eigenvalues(restrict(kernel, idx)), n_max)
 
 
 def bosonic_density(phis, alphas, points):

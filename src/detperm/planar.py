@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    DISCRETIZATION_CLAMP_TOL,
     EIGENVALUE_TOL,
     NORMALIZATION_TOL,
     DetpermError,
@@ -60,7 +61,7 @@ class _GaussianBase:
 
     @staticmethod
     def cdf_q(k, q):
-        return float(gamma_cdf(q, k + 1))
+        return gamma_cdf(q, k + 1)
 
     @staticmethod
     def q_density(k, q):
@@ -91,7 +92,7 @@ class _LebesgueDiskBase:
 
     @staticmethod
     def cdf_q(k, q):
-        return float(np.clip(q, 0.0, 1.0) ** (k + 1))
+        return np.clip(q, 0.0, 1.0) ** (k + 1)
 
     @staticmethod
     def q_density(k, q):
@@ -141,10 +142,6 @@ class RadialKernelSpec:
                 raise DetpermError(
                     f"normalizer for degree {t.degree} is off by {resid:.3e}"
                 )
-
-    @property
-    def degree(self):
-        return max((t.degree for t in self.terms), default=0)
 
     def coefficients(self):
         """lambda_k * a_k^2 per term."""
@@ -238,7 +235,7 @@ def square_grid(h, radius):
     return z[np.abs(z) <= radius]
 
 
-def discretize_radial_kernel(spec, h, radius, max_clamp=0.05):
+def discretize_radial_kernel(spec, h, radius):
     """Midpoint discretization of the kernel on a square lattice over a
     bounding disk.
 
@@ -248,8 +245,8 @@ def discretize_radial_kernel(spec, h, radius, max_clamp=0.05):
     coefficients lambda_k a_k^2.  Its d eigenvalues are clamped into
     [0, 1] and the clamp magnitude is returned alongside; the returned
     kernel is the factor of the eigenfunctions with the clamped
-    eigenvalues.  A clamp beyond ``max_clamp`` means the grid is too
-    coarse to be trusted and raises.  Returns ``(kernel, clamp_magnitude)``.
+    eigenvalues.  A clamp beyond DISCRETIZATION_CLAMP_TOL means the grid is
+    too coarse to be trusted and raises.  Returns ``(kernel, clamp_magnitude)``.
     """
     b = base_density(spec.base)
     radius = min(float(radius), b.support_radius)
@@ -265,9 +262,9 @@ def discretize_radial_kernel(spec, h, radius, max_clamp=0.05):
     spec_k = spectrum(kernel)
     vals = spec_k.eigenvalues
     clamp = float(max(vals.max() - 1.0, 0.0) + max(-vals.min(), 0.0)) if vals.size else 0.0
-    if clamp > max_clamp:
+    if clamp > DISCRETIZATION_CLAMP_TOL:
         raise DiscretizationError(
-            f"eigenvalue clamp {clamp:.3g} exceeds {max_clamp}; refine the grid"
+            f"eigenvalue clamp {clamp:.3g} exceeds {DISCRETIZATION_CLAMP_TOL}; refine the grid"
         )
     return Spectrum(np.clip(vals, 0.0, 1.0), spec_k.eigenvectors, ground).kernel(), clamp
 
@@ -300,7 +297,7 @@ class LaurentPoly:
     def __post_init__(self):
         norm = {}
         for key, val in self.coeffs.items():
-            key = (key,) if isinstance(key, int) else tuple(int(e) for e in key)
+            key = tuple(int(e) for e in key)
             if len(key) != self.nvars:
                 raise DetpermError(
                     f"exponent vector {key} does not have {self.nvars} entries"
@@ -310,8 +307,7 @@ class LaurentPoly:
         object.__setattr__(self, "coeffs", norm)
 
     def coefficient(self, exponents):
-        key = (exponents,) if isinstance(exponents, int) else tuple(int(e) for e in exponents)
-        return self.coeffs.get(key, complex(0.0))
+        return self.coeffs.get(tuple(int(e) for e in exponents), complex(0.0))
 
     def is_conjugate_symmetric(self, tol=0.0):
         """True when the polynomial represents a real function on the torus
@@ -329,8 +325,13 @@ def torus_moment(poly, exponents):
     the torus: the coefficient of poly at -e (monomials average to 1 when
     every net exponent vanishes and to 0 otherwise).  Pure coefficient
     extraction, no numerics."""
-    key = (exponents,) if isinstance(exponents, int) else tuple(int(e) for e in exponents)
-    return poly.coefficient(tuple(-e for e in key))
+    return poly.coefficient(tuple(-int(e) for e in exponents))
+
+
+# power_independence_check tests the power sums of orders 1..MAX_MOMENT_ORDER
+# and flags a moment more than MOMENT_SIGMAS standard errors off its prediction.
+MAX_MOMENT_ORDER = 3
+MOMENT_SIGMAS = 4.0
 
 
 @dataclass(frozen=True)
@@ -366,17 +367,17 @@ def _mean_se(values):
     return mean, se
 
 
-def power_independence_check(samples, power, degree, max_order=3, n_sigma=4.0):
+def power_independence_check(samples, power, degree):
     """Empirical check that the ``power``-th powers of the points behave
     like independent rotation-invariant draws.
 
-    For each order pair (m, m') up to ``max_order`` the report carries the
+    For each order pair (m, m') up to MAX_MOMENT_ORDER the report carries the
     empirical mixed moment E[S_m conj(S_m')] of the power sums
     S_m = sum_i z_i^(power*m) with Monte Carlo standard errors.  The
     verdict passes iff every off-diagonal (m != m') moment is within
-    ``n_sigma`` standard errors of zero.  Diagonal rows additionally
+    MOMENT_SIGMAS standard errors of zero.  Diagonal rows additionally
     compare |S_m|^2 against the independence prediction
-    sum_i |z_i|^(2*power*m); a deviation beyond ``n_sigma`` standard
+    sum_i |z_i|^(2*power*m); a deviation beyond MOMENT_SIGMAS standard
     errors is flagged in the report (kernels of degree >= power leave a
     real deviation here, which is exactly the sharpness of the power
     threshold).
@@ -389,8 +390,8 @@ def power_independence_check(samples, power, degree, max_order=3, n_sigma=4.0):
     arrays = [np.asarray(s, dtype=complex) for s in samples]
     rows = []
     passed = True
-    for m in range(1, max_order + 1):
-        for m_prime in range(1, max_order + 1):
+    for m in range(1, MAX_MOMENT_ORDER + 1):
+        for m_prime in range(1, MAX_MOMENT_ORDER + 1):
             sm = np.array([(z ** (power * m)).sum() for z in arrays])
             smp = sm if m_prime == m else np.array(
                 [(z ** (power * m_prime)).sum() for z in arrays]
@@ -402,14 +403,14 @@ def power_independence_check(samples, power, degree, max_order=3, n_sigma=4.0):
             if m == m_prime:
                 diag = np.array([(np.abs(z) ** (2 * power * m)).sum() for z in arrays])
                 dev, dev_se = _mean_se(prod.real - diag)
-                flagged = abs(dev) > n_sigma * max(dev_se, 1e-300)
+                flagged = abs(dev) > MOMENT_SIGMAS * max(dev_se, 1e-300)
                 rows.append(
                     MomentRow(m, m_prime, moment, se_re, se_im, dev, dev_se, flagged)
                 )
             else:
-                ok = abs(mean_re) <= n_sigma * max(se_re, 1e-300) and abs(
+                ok = abs(mean_re) <= MOMENT_SIGMAS * max(se_re, 1e-300) and abs(
                     mean_im
-                ) <= n_sigma * max(se_im, 1e-300)
+                ) <= MOMENT_SIGMAS * max(se_im, 1e-300)
                 passed = passed and ok
                 rows.append(MomentRow(m, m_prime, moment, se_re, se_im, flagged=not ok))
     return PowerIndependenceReport(int(power), int(degree), n, tuple(rows), passed)

@@ -7,6 +7,7 @@ the N_STAT_TESTS individual goodness-of-fit tests below; direct moment
 checks use the 4-standard-error rule they are stated with.
 """
 
+import functools
 import itertools
 import math
 from collections import Counter
@@ -17,6 +18,7 @@ from scipy import stats
 
 import detperm as dp
 from detperm.alphadet import WITNESS_MATRIX
+from detperm.planar import base_density
 from detperm.ust import Graph
 
 from conftest import (
@@ -90,9 +92,10 @@ def test_criterion_02_kernel_validation_round_trip(ginibre_grid):
     checks.append(("discretized Ginibre grid", dp.validate_determinantal(ginibre_grid).valid))
     bergman_kernel, _ = dp.discretize_radial_kernel(dp.bergman_spec(3), 0.05, 1.0)
     checks.append(("discretized Bergman grid", dp.validate_determinantal(bergman_kernel).valid))
-    checks.append(("rejects 1.2 I", not dp.validate_determinantal(1.2 * np.eye(2)).valid))
-    checks.append(("rejects [[.5,.6],[.6,.5]]",
-                   not dp.validate_determinantal(np.array([[0.5, 0.6], [0.6, 0.5]])).valid))
+    for name, matrix in (("1.2 I", 1.2 * np.eye(2)),
+                         ("[[.5,.6],[.6,.5]]", np.array([[0.5, 0.6], [0.6, 0.5]]))):
+        kernel = dp.HermitianKernel(matrix, dp.GroundSet.uniform(2))
+        checks.append((f"rejects {name}", not dp.validate_determinantal(kernel).valid))
     _report(2, "kernel admissibility", checks)
 
 
@@ -195,9 +198,10 @@ def test_criterion_07_ginibre_moduli():
     spec = dp.ginibre_spec(n)
     draws = np.array([dp.sample_radial_moduli(spec, rng) for _ in range(N)])
     checks = []
+    cdf_q = base_density(spec.base).cdf_q
     for i in range(1, n + 1):
         column = draws[:, i - 1]
-        report = dp.ks_fit(column, "gamma", args=(i,), significance=ALPHA)
+        report = dp.ks_fit(column, functools.partial(cdf_q, i - 1), significance=ALPHA)
         checks.append((f"KS gamma({i},1)", report.passed))
         checks.append(
             (f"mean of modulus^2 #{i}", abs(column.mean() - i) < 4 * math.sqrt(i / N))
@@ -211,8 +215,9 @@ def test_criterion_08_gaf_moduli():
     spec = dp.bergman_spec(n)
     draws = np.array([dp.sample_radial_moduli(spec, rng) for _ in range(N)])
     checks = []
+    cdf_q = base_density(spec.base).cdf_q
     for k in range(n):
-        report = dp.ks_fit(draws[:, k], "beta", args=(k + 1, 1), significance=ALPHA)
+        report = dp.ks_fit(draws[:, k], functools.partial(cdf_q, k), significance=ALPHA)
         checks.append((f"KS beta({k + 1},1)", report.passed))
         # equivalently |z_k| behaves like U^(1/(2k+2))
         moduli = np.sqrt(draws[:, k])

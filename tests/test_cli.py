@@ -13,6 +13,8 @@ from detperm.cli import _emit_samples, main
 from conftest import kernel_from_spectrum, projection_from_rank
 
 EXAMPLE_SUITE = Path(__file__).resolve().parents[1] / "scripts" / "example_suite.json"
+# stdout of `detperm verify --suite scripts/example_suite.json --seed 4`
+EXAMPLE_VERIFY_OUTPUT = Path(__file__).resolve().parent / "data" / "verify_example_seed4.jsonl"
 
 
 @pytest.fixture
@@ -269,6 +271,11 @@ class TestVerifyCommand:
         reports = [json.loads(line, parse_constant=reject) for line in lines]
         assert len(reports) == 9
         assert any(r["p_value"] is None for r in reports)  # the CLT report
+
+    def test_example_suite_output_is_byte_identical(self, capsys):
+        # seeded streams, laws and number formatting all show in this output
+        assert main(["verify", "--suite", str(EXAMPLE_SUITE), "--seed", "4"]) == 0
+        assert capsys.readouterr().out.encode() == EXAMPLE_VERIFY_OUTPUT.read_bytes()
 
     def test_runtime_loads_no_scipy(self):
         # a fresh `import detperm`, and a `verify` run of the example suite,

@@ -1,3 +1,4 @@
+import functools
 import math
 import warnings
 
@@ -7,7 +8,8 @@ from scipy import special, stats
 
 import detperm as dp
 from detperm.core import CapacityError, ParameterError, gamma_cdf
-from detperm.harness import chi2_sf, ks_distance, ks_sf, named_cdf, normal_cdf, run_suite
+from detperm.harness import chi2_sf, ks_distance, ks_sf, normal_cdf, run_suite
+from detperm.planar import base_density
 
 from conftest import tabulate
 
@@ -77,50 +79,61 @@ class TestChiSquareHomogeneity:
         assert dp.chi_square_homogeneity(a, b).passed
 
 
+def uniform_cdf(x):
+    return np.clip(x, 0, 1)
+
+
+# scipy's name and parameters of a law, our CDF of it, and a sampler of it
+KS_LAWS = [
+    ("uniform", (), uniform_cdf, lambda r, n: r.random(n)),
+    ("norm", (), normal_cdf, lambda r, n: r.normal(size=n)),
+    ("gamma", (1,), functools.partial(gamma_cdf, shape=1), lambda r, n: r.gamma(1.0, size=n)),
+    ("gamma", (4,), functools.partial(gamma_cdf, shape=4), lambda r, n: r.gamma(4.0, size=n)),
+    ("beta", (3, 1), lambda x: np.clip(x, 0, 1) ** 3, lambda r, n: r.beta(3.0, 1.0, size=n)),
+    ("beta", (0.5, 1), lambda x: np.clip(x, 0, 1) ** 0.5,
+     lambda r, n: r.beta(0.5, 1.0, size=n)),
+]
+
+
 class TestKsFit:
     def test_uniform(self, rng):
-        assert dp.ks_fit(rng.random(20000), "uniform").passed
+        assert dp.ks_fit(rng.random(20000), uniform_cdf).passed
 
     def test_gamma(self, rng):
-        assert dp.ks_fit(rng.gamma(3.0, size=20000), "gamma", args=(3,)).passed
+        assert dp.ks_fit(rng.gamma(3.0, size=20000), functools.partial(gamma_cdf, shape=3)).passed
 
     def test_too_few_samples(self, rng):
         with pytest.raises(dp.DetpermError):
-            dp.ks_fit(rng.random(5), "uniform")
-
-    @pytest.mark.parametrize("name, args", [
-        ("expon", ()), ("gamma", (2.5,)), ("gamma", ()), ("beta", (2, 2)),
-        ("beta", (-1, 1)), ("norm", (0, 1)), ("uniform", (1,)),
-    ])
-    def test_unsupported_law_names_the_table(self, rng, name, args):
-        with pytest.raises(ParameterError, match="supported: uniform.*norm.*gamma.*beta"):
-            dp.ks_fit(rng.random(100), name, args=args)
+            dp.ks_fit(rng.random(5), uniform_cdf)
 
     def test_non_finite_samples_rejected(self, rng):
         x = rng.random(100)
         x[3] = np.nan
         with pytest.raises(dp.DetpermError, match="finite"):
-            dp.ks_fit(x, "uniform")
+            dp.ks_fit(x, uniform_cdf)
 
-    @pytest.mark.parametrize("name, args, draw", [
-        ("uniform", (), lambda r, n: r.random(n)),
-        ("norm", (), lambda r, n: r.normal(size=n)),
-        ("gamma", (1,), lambda r, n: r.gamma(1.0, size=n)),
-        ("gamma", (4,), lambda r, n: r.gamma(4.0, size=n)),
-        ("beta", (3, 1), lambda r, n: r.beta(3.0, 1.0, size=n)),
-        ("beta", (0.5, 1), lambda r, n: r.beta(0.5, 1.0, size=n)),
-    ])
+    # ids: scipy's name of the law, its parameter set, the sampler
+    @pytest.mark.parametrize("name, args, cdf, draw", KS_LAWS,
+                             ids=[f"{law[0]}-args{i}-<lambda>" for i, law in enumerate(KS_LAWS)])
     @pytest.mark.parametrize("n", [12, 300, 20000])
-    def test_matches_scipy_kstest(self, name, args, draw, n):
+    def test_matches_scipy_kstest(self, name, args, cdf, draw, n):
         x = draw(dp.stream(n), n)
-        ours = dp.ks_fit(x, name, args=args)
+        ours = dp.ks_fit(x, cdf)
         ref = stats.kstest(x, name, args=args)
         assert ours.statistic == pytest.approx(ref.statistic, rel=0, abs=1e-13)
         assert ours.p_value == pytest.approx(ref.pvalue, rel=0, abs=5e-6 if n > 140 else 2e-3)
 
     def test_callable_cdf_gets_sorted_samples_and_args(self, rng):
+        # parameters are bound into the CDF, which sees the sorted sample
         x = rng.random(500) ** (1 / 3)
-        ours = dp.ks_fit(x, lambda t, a: np.clip(t, 0, 1) ** a, args=(3,))
+        seen = []
+
+        def cdf(t, a):
+            seen.append(t)
+            return np.clip(t, 0, 1) ** a
+
+        ours = dp.ks_fit(x, functools.partial(cdf, a=3))
+        np.testing.assert_array_equal(seen, [np.sort(x)])
         ref = stats.kstest(x, "beta", args=(3, 1)).statistic
         assert ours.statistic == pytest.approx(ref, rel=0, abs=1e-15)
         assert ours.passed
@@ -171,11 +184,15 @@ class TestClosedForms:
         x = np.concatenate([np.linspace(-37, 8, 2001), [0.0, -1e-10, 1e-10]])
         np.testing.assert_allclose(normal_cdf(x), special.ndtr(x), rtol=1e-12, atol=0)
         q = np.linspace(-0.5, 1.5, 401)
-        for a in (0.5, 1, 2, 7.5):
-            beta = named_cdf("beta", (a, 1))(q)
-            np.testing.assert_allclose(beta, np.clip(q, 0, 1) ** a, rtol=0, atol=0)
-            np.testing.assert_allclose(beta, stats.beta.cdf(q, a, 1), rtol=1e-13, atol=1e-15)
-        np.testing.assert_array_equal(named_cdf("uniform")(q), np.clip(q, 0, 1))
+        disk = base_density("lebesgue-disk")
+        for k in (0, 1, 2, 7):  # beta(k + 1, 1), the disk base's size-biased laws
+            beta = disk.cdf_q(k, q)
+            np.testing.assert_allclose(beta, np.clip(q, 0, 1) ** (k + 1), rtol=0, atol=0)
+            np.testing.assert_allclose(beta, stats.beta.cdf(q, k + 1, 1), rtol=1e-13, atol=1e-15)
+        np.testing.assert_array_equal(disk.cdf_q(0, q), np.clip(q, 0, 1))
+        gauss = base_density("gaussian")
+        for k in (0, 3, 30):  # gamma(k + 1, 1)
+            np.testing.assert_array_equal(gauss.cdf_q(k, q), gamma_cdf(q, k + 1))
 
     def test_ks_distance_with_ties(self):
         # a lattice sample: the distance is read at both ends of each run of ties

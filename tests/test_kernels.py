@@ -6,7 +6,6 @@ import pytest
 
 import detperm as dp
 from detperm.core import CapacityError, SymmetryError
-from detperm.kernels import parse_kernel_json
 
 from conftest import assert_spectra_agree, kernel_from_spectrum, projection_from_rank
 
@@ -83,13 +82,15 @@ class TestSpectrum:
         m[1, 1] = bad
         with pytest.raises(dp.DetpermError, match="non-finite"):
             dp.HermitianKernel(m, dp.GroundSet.uniform(2))
-        with pytest.raises(dp.DetpermError, match="non-finite"):
-            dp.validate_determinantal(m)  # malformed input, not a verdict
+
+
+def dense(matrix):
+    return dp.HermitianKernel(matrix, dp.GroundSet.uniform(len(matrix)))
 
 
 class TestValidateDeterminantal:
     def test_scaled_identity_invalid(self):
-        verdict = dp.validate_determinantal(1.2 * np.eye(2))
+        verdict = dp.validate_determinantal(dense(1.2 * np.eye(2)))
         assert not verdict.valid
         assert abs(verdict.eigenvalue - 1.2) < 1e-12
 
@@ -101,14 +102,15 @@ class TestValidateDeterminantal:
 
     def test_hand_computed_invalid_pair(self):
         # symmetric 2x2 with entries 0.5 / 0.6 has eigenvalues 0.5 +/- 0.6
-        verdict = dp.validate_determinantal(np.array([[0.5, 0.6], [0.6, 0.5]]))
+        verdict = dp.validate_determinantal(dense(np.array([[0.5, 0.6], [0.6, 0.5]])))
         assert not verdict.valid
         assert abs(verdict.eigenvalue - 1.1) < 1e-12
 
-    def test_non_hermitian_gets_verdict_not_exception(self):
-        verdict = dp.validate_determinantal(np.array([[1.0, 1.0], [0.0, 1.0]]))
-        assert not verdict.valid
-        assert "Hermitian" in verdict.reason
+    def test_non_hermitian_never_reaches_the_verdict(self):
+        # the kernel type holds the Hermitian condition; the CLI turns this
+        # error into an invalid verdict
+        with pytest.raises(SymmetryError, match="Hermitian"):
+            dense(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
 class TestRestrict:
@@ -271,14 +273,15 @@ class TestKernelJson:
         assert back.ground.labels == k.ground.labels
 
     def test_real_shorthand_and_default_ground(self):
-        ground, matrix = parse_kernel_json({"matrix_real": [[1.0, 0.5], [0.5, 1.0]]})
-        assert matrix.dtype == complex
-        assert ground.labels == (0, 1)
-        np.testing.assert_allclose(ground.weights, [1.0, 1.0])
+        k = dp.HermitianKernel.from_json({"matrix_real": [[1.0, 0.5], [0.5, 1.0]]})
+        assert k.matrix.dtype == complex
+        np.testing.assert_array_equal(k.matrix, [[1.0, 0.5], [0.5, 1.0]])
+        assert k.ground.labels == (0, 1)
+        np.testing.assert_allclose(k.ground.weights, [1.0, 1.0])
 
     def test_missing_matrix_is_error(self):
-        with pytest.raises(dp.DetpermError):
-            parse_kernel_json({"ground": {"labels": [0], "weights": [1.0]}})
+        with pytest.raises(dp.DetpermError, match="'matrix' or 'matrix_real'"):
+            dp.HermitianKernel.from_json({"ground": {"labels": [0], "weights": [1.0]}})
 
 
 class TestFactoredKernel:

@@ -1,3 +1,4 @@
+import functools
 import math
 from collections import Counter
 
@@ -75,16 +76,18 @@ class TestSampleRadialModuli:
         spec = dp.ginibre_spec(n)
         draws = np.array([dp.sample_radial_moduli(spec, rng) for _ in range(n_samples)])
         assert draws.shape == (n_samples, n)
+        cdf_q = base_density("gaussian").cdf_q
         for i in range(n):
-            report = dp.ks_fit(draws[:, i], "gamma", args=(i + 1,))
+            report = dp.ks_fit(draws[:, i], functools.partial(cdf_q, i))
             assert report.passed, (i, report)
 
     def test_bergman_moduli_are_betas(self, rng):
         n, n_samples = 4, 30000
         spec = dp.bergman_spec(n)
         draws = np.array([dp.sample_radial_moduli(spec, rng) for _ in range(n_samples)])
+        cdf_q = base_density("lebesgue-disk").cdf_q
         for k in range(n):
-            report = dp.ks_fit(draws[:, k], "beta", args=(k + 1, 1))
+            report = dp.ks_fit(draws[:, k], functools.partial(cdf_q, k))
             assert report.passed, (k, report)
 
     def test_zero_weights_give_empty(self, rng):
@@ -242,9 +245,10 @@ class TestDiscretization:
         assert dp.validate_determinantal(kernel).valid
 
     def test_clamp_guard_raises_when_too_tight(self):
-        # disk-boundary cells overcount area, inflating eigenvalues past 1
-        with pytest.raises(DiscretizationError):
-            dp.discretize_radial_kernel(dp.bergman_spec(3), 0.2, 1.0, max_clamp=1e-3)
+        # disk-boundary cells overcount area, inflating eigenvalues past 1:
+        # at h = 0.6 the clamp is about 1.27
+        with pytest.raises(DiscretizationError, match="refine the grid"):
+            dp.discretize_radial_kernel(dp.bergman_spec(3), 0.6, 1.0)
 
     def test_annulus_counts_from_grid_match_restricted_eigenvalues(self, rng):
         kernel, _ = dp.discretize_radial_kernel(dp.ginibre_spec(2), 0.2, 3.0)
