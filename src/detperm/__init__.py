@@ -26,43 +26,33 @@ from .kernels import (
 )
 from .dpp import (
     count_pmf,
-    joint_counts_observable,
-    projection_density,
     sample_dpp,
     sample_projection,
 )
 from .permanental import (
-    bosonic_density,
     count_pmf_perm,
-    joint_counts_observable_perm,
-    sample_mixture_label,
     sample_permanental,
 )
 from .alphadet import (
     AlphaRegime,
     alpha_count_pmf,
     classify_alpha,
-    existence_witness,
     sample_alpha,
 )
 from .planar import (
-    LaurentPoly,
     RadialKernelSpec,
     RadialTerm,
     annuli_lambdas,
     bergman_spec,
     discretize_radial_kernel,
     ginibre_spec,
-    power_independence_check,
     sample_clouds,
     sample_radial_moduli,
-    torus_moment,
 )
-from .ust import Graph, effective_resistance, sample_ust, transfer_current_kernel
+from .ust import Graph, sample_ust, transfer_current_kernel
 from .harness import (
     TestReport,
     chi_square_fit,
-    chi_square_homogeneity,
     clt_check,
     ks_fit,
 )

@@ -30,7 +30,6 @@ from .core import (
 from .dpp import sample_dpp
 from .kernels import (
     Spectrum,
-    alpha_det,
     eigenvalues,
     restrict,
     spectrum,
@@ -41,13 +40,6 @@ from .permanental import sample_permanental
 DET_UNION = "det-union"
 PERM_UNION = "perm-union"
 UNSUPPORTED = "unsupported"
-
-# Three-point kernel whose alpha-determinant 2(4 - alpha)(alpha + 1) goes
-# negative for alpha > 4, ruling the process out there.
-WITNESS_MATRIX = np.array(
-    [[2.0, -1.0, -1.0], [-1.0, 2.0, -1.0], [-1.0, -1.0, 2.0]]
-)
-
 
 @dataclass(frozen=True)
 class AlphaRegime:
@@ -133,21 +125,3 @@ def alpha_count_pmf(kernel, alpha, subset, n_max=None):
     if n_max is None:
         raise KernelValidationError("n_max is required for alpha > 0 count laws")
     return geometric_sum_pmf(per_copy, n_max)
-
-
-@dataclass(frozen=True)
-class WitnessResult:
-    alpha: float
-    value: float
-
-    @property
-    def verdict(self):
-        return "negative_intensity" if self.value < 0 else "inconclusive"
-
-
-def existence_witness(alpha):
-    """Evaluate the three-point witness kernel's alpha-determinant; a
-    negative value proves no alpha-determinantal process with that kernel
-    (hence no general existence) for this alpha."""
-    value = alpha_det(WITNESS_MATRIX, alpha)
-    return WitnessResult(float(alpha), float(value.real))

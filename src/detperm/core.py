@@ -114,7 +114,10 @@ def sample_categorical(weights, rng):
     total = w.sum()
     if not 0 < total < math.inf:
         raise DegenerateDistributionError(f"categorical weights sum to {total!r}")
-    return int(np.searchsorted(np.cumsum(w), rng.random() * total, side="right"))
+    i = int(np.searchsorted(np.cumsum(w), rng.random() * total, side="right"))
+    # The pairwise sum can exceed the last cumulative sum by rounding; a
+    # draw past it belongs to the last atom of positive weight.
+    return i if i < w.size else int(np.flatnonzero(w)[-1])
 
 
 def sample_poisson_array(means, rng):
@@ -123,16 +126,6 @@ def sample_poisson_array(means, rng):
     if not np.all(m >= 0):
         raise ParameterError("Poisson means must be non-negative")
     return rng.poisson(m)
-
-
-def sample_geometric(mean, rng):
-    """Geometric count of failures with the given mean (support 0, 1, 2, ...)."""
-    if mean < 0:
-        raise ParameterError(f"geometric mean must be non-negative, got {mean}")
-    if mean == 0:
-        return 0
-    # numpy's geometric counts trials (>= 1) at success probability p
-    return int(rng.geometric(1.0 / (1.0 + mean))) - 1
 
 
 # ---------------------------------------------------------------------------

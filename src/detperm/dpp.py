@@ -31,11 +31,9 @@ import math
 import numpy as np
 
 from .core import (
-    EIGENVALUE_TOL,
     PIVOT_TOL,
     TRACE_TOL,
     CountDistribution,
-    DetpermError,
     KernelValidationError,
     NumericalDegeneracyError,
     PointConfiguration,
@@ -110,40 +108,3 @@ def count_pmf(kernel, subset):
         return CountDistribution(np.array([1.0]), 0.0)
     sub = restrict(kernel, idx)
     return bernoulli_sum_pmf(eigenvalues(sub))
-
-
-def joint_counts_observable(lambda_matrix, rng):
-    """One draw of joint counts in r cells for a simultaneously observable
-    family, as an independent ball-into-cell assignment.
-
-    Row k of ``lambda_matrix`` holds the per-cell probabilities for ball k;
-    the leftover 1 - sum(row) is the probability the ball lands nowhere.
-    """
-    lm = np.atleast_2d(np.asarray(lambda_matrix, dtype=float))
-    if np.any(lm < 0):
-        raise DetpermError("cell probabilities must be non-negative")
-    r = lm.shape[1]
-    counts = np.zeros(r, dtype=np.int64)
-    for row in lm:
-        s = row.sum()
-        if s > 1 + EIGENVALUE_TOL:
-            raise DetpermError(f"row sums to {s!r} > 1")
-        rest = max(0.0, 1.0 - s)
-        cell = sample_categorical(np.concatenate([row, [rest]]), rng)
-        if cell < r:
-            counts[cell] += 1
-    return counts
-
-
-def projection_density(spec, points):
-    """Ordered-tuple density against mu^r of the projection process onto
-    all r eigenfunctions of ``spec``: |det(phi_i(x_j))|^2 / r!."""
-    idx = [int(p) for p in points]
-    if len(idx) != spec.size:
-        raise DetpermError(f"need exactly rank={spec.size} points, got {len(idx)}")
-    if any(i < 0 or i >= spec.ground.size for i in idx):
-        raise DetpermError("point index outside the ground set")
-    if spec.size == 0:
-        return 1.0
-    det = np.linalg.det(spec.eigenvectors[idx])
-    return float(abs(det) ** 2 / math.factorial(spec.size))

@@ -224,50 +224,6 @@ def chi_square_fit(observed, expected_pmf, significance=DEFAULT_SIGNIFICANCE,
                       {"dof": dof})
 
 
-def chi_square_homogeneity(counts_a, counts_b, significance=DEFAULT_SIGNIFICANCE,
-                           description="chi-square homogeneity"):
-    """Two-sample chi-square: are two empirical count tables draws from
-    one distribution?  ``counts_a`` and ``counts_b`` map cell -> count (or
-    are aligned arrays)."""
-    if isinstance(counts_a, dict) or isinstance(counts_b, dict):
-        keys = sorted(set(counts_a) | set(counts_b))
-        a = np.array([counts_a.get(k, 0) for k in keys], dtype=float)
-        b = np.array([counts_b.get(k, 0) for k in keys], dtype=float)
-    else:
-        width = max(len(counts_a), len(counts_b))
-        a = np.zeros(width)
-        a[: len(counts_a)] = counts_a
-        b = np.zeros(width)
-        b[: len(counts_b)] = counts_b
-    na, nb = a.sum(), b.sum()
-    if na <= 0 or nb <= 0:
-        raise DetpermError("both samples must be non-empty")
-    # pool cells whose smaller expected count is below threshold
-    min_exp = (a + b) * min(na, nb) / (na + nb)
-    order = np.argsort(-min_exp)
-    a, b, min_exp = a[order], b[order], min_exp[order]
-    keep = max(1, int((min_exp >= MIN_EXPECTED).sum()))
-    if keep < len(a):
-        a = np.concatenate([a[:keep], [a[keep:].sum()]])
-        b = np.concatenate([b[:keep], [b[keep:].sum()]])
-        if len(a) > 2 and (a[-1] + b[-1]) * min(na, nb) / (na + nb) < MIN_EXPECTED:
-            a[-2] += a[-1]
-            b[-2] += b[-1]
-            a, b = a[:-1], b[:-1]
-    mask = (a + b) > 0
-    a, b = a[mask], b[mask]
-    if len(a) < 2:
-        raise DetpermError("fewer than two cells after merging")
-    col = a + b
-    ea = col * na / (na + nb)
-    eb = col * nb / (na + nb)
-    stat = float((((a - ea) ** 2) / ea).sum() + (((b - eb) ** 2) / eb).sum())
-    dof = len(a) - 1
-    p = chi2_sf(stat, dof)
-    return TestReport(description, stat, p, int(na + nb), p > significance,
-                      significance, {"dof": dof})
-
-
 def ks_fit(samples, cdf, significance=DEFAULT_SIGNIFICANCE,
            description="Kolmogorov-Smirnov fit"):
     """One-sample KS test against a continuous law given by its CDF, a

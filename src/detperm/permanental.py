@@ -22,10 +22,9 @@ from .core import (
     PointConfiguration,
     clamp_nonnegative,
     geometric_sum_pmf,
-    sample_geometric,
     sample_poisson_array,
 )
-from .kernels import eigenvalues, permanent, restrict, spectrum
+from .kernels import eigenvalues, restrict, spectrum
 
 
 def standard_complex_normal(rng, size=None):
@@ -56,59 +55,3 @@ def count_pmf_perm(kernel, subset, n_max):
     if not idx:
         return CountDistribution(np.array([1.0]), 0.0)
     return geometric_sum_pmf(eigenvalues(restrict(kernel, idx)), n_max)
-
-
-def bosonic_density(phis, alphas, points):
-    """Ordered-tuple density of the fixed-occupancy state with alpha_i
-    points in eigenfunction i:
-
-        |per(row-repeated matrix)|^2 / (l! * prod_i alpha_i!)
-
-    where row i of the matrix, phi_i evaluated at the points, is repeated
-    alpha_i times and l = sum(alphas).  Rows of ``phis`` must be
-    orthonormal in the weighted inner product for this to integrate to the
-    probability of the occupancy state.
-    """
-    phis = np.asarray(phis, dtype=complex)
-    alphas = [int(a) for a in alphas]
-    if any(a < 0 for a in alphas):
-        raise DetpermError("occupancy numbers must be non-negative")
-    if phis.ndim != 2 or phis.shape[0] != len(alphas):
-        raise DetpermError("one occupancy number per eigenfunction row required")
-    ell = sum(alphas)
-    idx = [int(p) for p in points]
-    if len(idx) != ell:
-        raise DetpermError(f"need exactly {ell} points, got {len(idx)}")
-    if ell == 0:
-        return 1.0
-    rows = np.repeat(phis[:, idx], alphas, axis=0)
-    value = permanent(rows)
-    norm = math.factorial(ell) * math.prod(math.factorial(a) for a in alphas)
-    return float(abs(value) ** 2 / norm)
-
-
-def sample_mixture_label(kernel, rng):
-    """Draw the occupancy vector (one geometric count per eigenvalue, in
-    descending eigenvalue order) that selects a fixed-occupancy component
-    of the permanental mixture."""
-    lams = clamp_nonnegative(spectrum(kernel).eigenvalues)
-    return np.array([sample_geometric(lam, rng) for lam in lams], dtype=np.int64)
-
-
-def joint_counts_observable_perm(lambda_matrix, rng):
-    """One draw of joint counts in r cells for a simultaneously observable
-    family: per row, a geometric total with mean sum(row), split
-    multinomially across the cells in proportion to the row."""
-    lm = np.atleast_2d(np.asarray(lambda_matrix, dtype=float))
-    if np.any(lm < 0):
-        raise DetpermError("cell intensities must be non-negative")
-    r = lm.shape[1]
-    counts = np.zeros(r, dtype=np.int64)
-    for row in lm:
-        lam = row.sum()
-        if lam == 0:
-            continue
-        total = sample_geometric(lam, rng)
-        if total:
-            counts += rng.multinomial(total, row / lam)
-    return counts

@@ -7,11 +7,6 @@ Concentric annuli are simultaneously observable, with occupancy
 probabilities read off the exact modulus CDFs.  Full planar point clouds,
 which additionally need angles, go through a square-lattice midpoint
 discretization that reports its own eigenvalue-clamp diagnostic.
-
-A small exact Laurent-coefficient engine computes monomial averages over
-the torus, which is what makes high-power angular independence checkable
-symbolically: the average of a monomial is the matching coefficient or
-zero, nothing else.
 """
 
 from __future__ import annotations
@@ -63,12 +58,6 @@ class _GaussianBase:
     def cdf_q(k, q):
         return gamma_cdf(q, k + 1)
 
-    @staticmethod
-    def q_density(k, q):
-        if q < 0:
-            return 0.0
-        return math.exp(k * math.log(q) - q - math.lgamma(k + 1)) if q > 0 else (1.0 if k == 0 else 0.0)
-
 
 class _LebesgueDiskBase:
     """Uniform density 1/pi on the unit disk; squared modulus is
@@ -93,10 +82,6 @@ class _LebesgueDiskBase:
     @staticmethod
     def cdf_q(k, q):
         return np.clip(q, 0.0, 1.0) ** (k + 1)
-
-    @staticmethod
-    def q_density(k, q):
-        return (k + 1) * q**k if 0.0 <= q <= 1.0 else 0.0
 
 
 _BASES = {b.name: b for b in (_GaussianBase, _LebesgueDiskBase)}
@@ -280,137 +265,3 @@ def sample_clouds(kernel, rng):
         "determinantal": sample_dpp(kernel, rng),
         "permanental": sample_permanental(kernel, rng),
     }
-
-
-# ---------------------------------------------------------------------------
-# exact torus moments and empirical power independence
-
-
-@dataclass(frozen=True)
-class LaurentPoly:
-    """Finite Laurent polynomial on the n-torus: a map from integer
-    exponent vectors (net power of each variable) to coefficients."""
-
-    coeffs: dict
-    nvars: int
-
-    def __post_init__(self):
-        norm = {}
-        for key, val in self.coeffs.items():
-            key = tuple(int(e) for e in key)
-            if len(key) != self.nvars:
-                raise DetpermError(
-                    f"exponent vector {key} does not have {self.nvars} entries"
-                )
-            if val != 0:
-                norm[key] = complex(val)
-        object.__setattr__(self, "coeffs", norm)
-
-    def coefficient(self, exponents):
-        return self.coeffs.get(tuple(int(e) for e in exponents), complex(0.0))
-
-    def is_conjugate_symmetric(self, tol=0.0):
-        """True when the polynomial represents a real function on the torus
-        (coefficient at -e is the conjugate of the coefficient at e)."""
-        keys = set(self.coeffs)
-        for key in keys:
-            neg = tuple(-e for e in key)
-            if abs(self.coeffs[key] - self.coefficient(neg).conjugate()) > tol:
-                return False
-        return True
-
-
-def torus_moment(poly, exponents):
-    """Exact average of prod_i z_i^(e_i) against the density ``poly`` on
-    the torus: the coefficient of poly at -e (monomials average to 1 when
-    every net exponent vanishes and to 0 otherwise).  Pure coefficient
-    extraction, no numerics."""
-    return poly.coefficient(tuple(-int(e) for e in exponents))
-
-
-# power_independence_check tests the power sums of orders 1..MAX_MOMENT_ORDER
-# and flags a moment more than MOMENT_SIGMAS standard errors off its prediction.
-MAX_MOMENT_ORDER = 3
-MOMENT_SIGMAS = 4.0
-
-
-@dataclass(frozen=True)
-class MomentRow:
-    m: int
-    m_prime: int
-    moment: complex
-    se_real: float
-    se_imag: float
-    deviation: float | None = None    # diagonal rows: moment minus the
-    deviation_se: float | None = None  # independence prediction
-    flagged: bool = False
-
-
-@dataclass(frozen=True)
-class PowerIndependenceReport:
-    power: int
-    degree: int
-    n_samples: int
-    rows: tuple
-    passed: bool
-
-    def row(self, m, m_prime):
-        for r in self.rows:
-            if (r.m, r.m_prime) == (m, m_prime):
-                return r
-        raise KeyError((m, m_prime))
-
-
-def _mean_se(values):
-    mean = float(np.mean(values))
-    se = float(np.std(values, ddof=1) / math.sqrt(len(values))) if len(values) > 1 else 0.0
-    return mean, se
-
-
-def power_independence_check(samples, power, degree):
-    """Empirical check that the ``power``-th powers of the points behave
-    like independent rotation-invariant draws.
-
-    For each order pair (m, m') up to MAX_MOMENT_ORDER the report carries the
-    empirical mixed moment E[S_m conj(S_m')] of the power sums
-    S_m = sum_i z_i^(power*m) with Monte Carlo standard errors.  The
-    verdict passes iff every off-diagonal (m != m') moment is within
-    MOMENT_SIGMAS standard errors of zero.  Diagonal rows additionally
-    compare |S_m|^2 against the independence prediction
-    sum_i |z_i|^(2*power*m); a deviation beyond MOMENT_SIGMAS standard
-    errors is flagged in the report (kernels of degree >= power leave a
-    real deviation here, which is exactly the sharpness of the power
-    threshold).
-    """
-    if not samples:
-        raise DetpermError("need at least one sample")
-    if power < 1:
-        raise ParameterError("power must be a positive integer")
-    n = len(samples)
-    arrays = [np.asarray(s, dtype=complex) for s in samples]
-    rows = []
-    passed = True
-    for m in range(1, MAX_MOMENT_ORDER + 1):
-        for m_prime in range(1, MAX_MOMENT_ORDER + 1):
-            sm = np.array([(z ** (power * m)).sum() for z in arrays])
-            smp = sm if m_prime == m else np.array(
-                [(z ** (power * m_prime)).sum() for z in arrays]
-            )
-            prod = sm * smp.conj()
-            mean_re, se_re = _mean_se(prod.real)
-            mean_im, se_im = _mean_se(prod.imag)
-            moment = complex(mean_re, mean_im)
-            if m == m_prime:
-                diag = np.array([(np.abs(z) ** (2 * power * m)).sum() for z in arrays])
-                dev, dev_se = _mean_se(prod.real - diag)
-                flagged = abs(dev) > MOMENT_SIGMAS * max(dev_se, 1e-300)
-                rows.append(
-                    MomentRow(m, m_prime, moment, se_re, se_im, dev, dev_se, flagged)
-                )
-            else:
-                ok = abs(mean_re) <= MOMENT_SIGMAS * max(se_re, 1e-300) and abs(
-                    mean_im
-                ) <= MOMENT_SIGMAS * max(se_im, 1e-300)
-                passed = passed and ok
-                rows.append(MomentRow(m, m_prime, moment, se_re, se_im, flagged=not ok))
-    return PowerIndependenceReport(int(power), int(degree), n, tuple(rows), passed)

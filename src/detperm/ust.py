@@ -10,10 +10,10 @@ conductances, and it has rank |V| - 1.
 Grounding one vertex leaves B with full column rank, so a thin QR of
 C^(1/2) B gives an orthonormal basis of that column space: the
 eigenfunctions of the kernel, each with eigenvalue 1.  That spectrum is
-computed once per graph and cached on it; the kernel, the effective
-resistances and the tree sampler all read it.  A tree is one draw of the
-chain-rule projection sampler of ``dpp`` on that spectrum, at
-O(|E| |V|^2) per tree and with no pseudoinverse.
+computed once per graph and cached on it; the kernel and the tree
+sampler both read it.  A tree is one draw of the chain-rule projection
+sampler of ``dpp`` on that spectrum, at O(|E| |V|^2) per tree and with
+no pseudoinverse.
 """
 
 from __future__ import annotations
@@ -88,18 +88,6 @@ class Graph:
     def edge_labels(self):
         return tuple(f"e{i}:{u}-{v}" for i, (u, v) in enumerate(self.edges))
 
-    def edge_index(self, edge):
-        """Resolve an edge given as an index or an endpoint pair."""
-        if isinstance(edge, int):
-            if not 0 <= edge < self.n_edges:
-                raise GraphError(f"edge index {edge} out of range")
-            return edge
-        u, v = edge
-        for i, (a, b) in enumerate(self.edges):
-            if (a, b) == (u, v) or (a, b) == (v, u):
-                return i
-        raise GraphError(f"no edge between {u!r} and {v!r}")
-
     @staticmethod
     def from_edge_list(text):
         """Parse 'u v [conductance]' lines (blank lines and # comments ok)."""
@@ -157,13 +145,6 @@ def transfer_current_kernel(graph):
     projection of rank |V| - 1 with diagonal c_e R(e) = P(e in tree),
     held as the factor of the graph's tree spectrum."""
     return graph.tree_spectrum.kernel()
-
-
-def effective_resistance(graph, edge):
-    """Voltage across an edge when a unit current is driven along it."""
-    e = graph.edge_index(edge)
-    row = graph.tree_spectrum.eigenvectors[e]
-    return float((np.abs(row) ** 2).sum() / graph.conductances[e])
 
 
 def sample_ust(graph, rng):

@@ -10,12 +10,17 @@ from detperm.alphadet import (
     DET_UNION,
     PERM_UNION,
     UNSUPPORTED,
-    WITNESS_MATRIX,
     scaled_kernel,
 )
 from detperm.core import UnsupportedAlphaError
 
-from conftest import kernel_from_spectrum, projection_from_rank, tabulate
+from conftest import (
+    WITNESS_MATRIX,
+    chi_square_homogeneity,
+    kernel_from_spectrum,
+    projection_from_rank,
+    tabulate,
+)
 
 ALPHA = 1e-3
 N_SAMPLES = 10000
@@ -59,7 +64,7 @@ class TestSampleAlpha:
         k = kernel_from_spectrum(dp.GroundSet.uniform(3), [0.2, 0.5, 0.9], rng)
         a = tabulate((len(dp.sample_alpha(k, -1.0, rng)) for _ in range(N_SAMPLES)), 4)
         b = tabulate((len(dp.sample_dpp(k, rng)) for _ in range(N_SAMPLES)), 4)
-        report = dp.chi_square_homogeneity(a, b)
+        report = chi_square_homogeneity(a, b)
         assert report.p_value > ALPHA, report
 
     def test_alpha_plus_one_matches_permanental_counts(self, rng):
@@ -67,7 +72,7 @@ class TestSampleAlpha:
         width = 40
         a = tabulate((len(dp.sample_alpha(k, 1.0, rng)) for _ in range(N_SAMPLES)), width)
         b = tabulate((len(dp.sample_permanental(k, rng)) for _ in range(N_SAMPLES)), width)
-        report = dp.chi_square_homogeneity(a, b)
+        report = chi_square_homogeneity(a, b)
         assert report.p_value > ALPHA, report
 
     def test_half_determinantal_counts_are_binomial(self, rng):
@@ -189,19 +194,22 @@ class TestUnionIntensity:
 
 
 class TestExistenceWitness:
+    """The three-point witness kernel's alpha-determinant; a negative value
+    rules out an alpha-determinantal process with that kernel."""
+
     def test_negative_for_alpha_five(self):
-        result = dp.existence_witness(5.0)
-        assert result.verdict == "negative_intensity"
-        assert abs(result.value + 12.0) < 1e-10
+        value = dp.alpha_det(WITNESS_MATRIX, 5.0).real
+        assert value < 0
+        assert abs(value + 12.0) < 1e-10
 
     def test_boundary_alpha_four(self):
-        result = dp.existence_witness(4.0)
-        assert result.verdict == "inconclusive"
-        assert abs(result.value) < 1e-10
+        value = dp.alpha_det(WITNESS_MATRIX, 4.0).real
+        assert not value < 0
+        assert abs(value) < 1e-10
 
     def test_alpha_minus_one_det_of_singular_matrix(self):
-        result = dp.existence_witness(-1.0)
-        assert result.verdict == "inconclusive"
-        assert abs(result.value) < 1e-10
+        value = dp.alpha_det(WITNESS_MATRIX, -1.0).real
+        assert not value < 0
+        assert abs(value) < 1e-10
         eigs = np.sort(np.linalg.eigvalsh(WITNESS_MATRIX))[::-1]
         np.testing.assert_allclose(eigs, [3.0, 3.0, 0.0], atol=1e-12)

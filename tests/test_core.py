@@ -11,11 +11,10 @@ from detperm.core import (
     DegenerateDistributionError,
     InvalidEigenvalueError,
     ParameterError,
-    sample_geometric,
     sample_poisson_array,
 )
 
-from conftest import bernoulli_sum_enumeration, tabulate
+from conftest import bernoulli_sum_enumeration, sample_geometric, tabulate
 
 ALPHA = 1e-3
 
@@ -136,6 +135,18 @@ class TestCategorical:
     def test_non_finite_weights_rejected(self, bad, rng):
         with pytest.raises(DegenerateDistributionError):
             dp.sample_categorical([bad, 1.0, 2.0], rng)
+
+    @pytest.mark.parametrize("trailing_zeros", [0, 2])
+    def test_rounding_overshoot_stays_on_positive_weight(self, trailing_zeros):
+        # the pairwise sum of these weights exceeds their last cumulative
+        # sum, so the largest uniform times the sum lands past it
+        class LargestUniform:
+            def random(self):
+                return 1.0 - 2.0**-53
+
+        w = np.array([1.0] + [1e-16] * 1000 + [0.0] * trailing_zeros)
+        assert np.cumsum(w)[-1] < (1.0 - 2.0**-53) * w.sum()
+        assert dp.sample_categorical(w, LargestUniform()) == 1000
 
 
 class TestPoissonGeometric:

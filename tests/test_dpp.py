@@ -10,6 +10,8 @@ import detperm as dp
 from detperm.core import KernelValidationError, NumericalDegeneracyError
 
 from conftest import (
+    chi_square_homogeneity,
+    joint_counts_observable,
     kernel_from_spectrum,
     occupancy_pmf_exact,
     projection_from_rank,
@@ -102,7 +104,7 @@ class TestSampleProjection:
             config = dp.sample_projection(rank2_spec, rng)
             first.append(config.points[0])
             last.append(config.points[-1])
-        report = dp.chi_square_homogeneity(tabulate(first, 4), tabulate(last, 4))
+        report = chi_square_homogeneity(tabulate(first, 4), tabulate(last, 4))
         assert report.p_value > ALPHA, report
 
 
@@ -158,17 +160,17 @@ class TestJointCountsObservable:
     def test_deterministic_row(self, rng):
         row = np.array([[1.0, 0.0, 0.0]])
         for _ in range(20):
-            assert dp.joint_counts_observable(row, rng).tolist() == [1, 0, 0]
+            assert joint_counts_observable(row, rng).tolist() == [1, 0, 0]
 
     def test_zero_rows(self, rng):
         rows = np.zeros((3, 2))
-        assert dp.joint_counts_observable(rows, rng).tolist() == [0, 0]
+        assert joint_counts_observable(rows, rng).tolist() == [0, 0]
 
     def test_matches_enumeration_oracle(self, rng):
         lam = dp.annuli_lambdas(dp.ginibre_spec(3), [(0.0, 1.0), (1.0, 2.0)])
         exact = occupancy_pmf_exact(lam)
         counts = Counter(
-            tuple(dp.joint_counts_observable(lam, rng)) for _ in range(N_SAMPLES)
+            tuple(joint_counts_observable(lam, rng)) for _ in range(N_SAMPLES)
         )
         keys = sorted(exact)
         observed = np.array([counts.get(k, 0) for k in keys])
@@ -177,33 +179,30 @@ class TestJointCountsObservable:
 
     def test_row_sum_above_one_rejected(self, rng):
         with pytest.raises(dp.DetpermError):
-            dp.joint_counts_observable(np.array([[0.7, 0.7]]), rng)
+            joint_counts_observable(np.array([[0.7, 0.7]]), rng)
 
 
 class TestProjectionDensity:
+    """The ordered-tuple density of the projection process onto all r
+    eigenfunctions, against mu^r: the joint intensity over r!."""
+
     def test_rank_one(self, four_point_ground, rng):
         spec = projection_spectrum(projection_from_rank(four_point_ground, 1, rng))
         for x in range(4):
             expected = abs(spec.eigenvectors[x, 0]) ** 2
-            assert abs(dp.projection_density(spec, [x]) - expected) < 1e-12
+            assert abs(dp.joint_intensity(spec.kernel(), [x]) - expected) < 1e-12
 
     def test_repeated_point_is_zero(self, rank2_spec):
-        assert dp.projection_density(rank2_spec, [1, 1]) == 0.0
+        assert dp.joint_intensity(rank2_spec.kernel(), [1, 1]) == 0.0
 
     def test_normalization_over_subsets(self, rank2_spec):
-        w = rank2_spec.ground.weights
+        # r! times the density summed over unordered r-subsets
+        kernel, w = rank2_spec.kernel(), rank2_spec.ground.weights
         total = sum(
-            math.factorial(2)
-            * dp.projection_density(rank2_spec, list(s))
-            * w[s[0]]
-            * w[s[1]]
+            dp.joint_intensity(kernel, list(s)) * w[s[0]] * w[s[1]]
             for s in itertools.combinations(range(4), 2)
         )
         assert abs(total - 1.0) < 1e-10
-
-    def test_length_mismatch(self, rank2_spec):
-        with pytest.raises(dp.DetpermError):
-            dp.projection_density(rank2_spec, [0])
 
 
 class TestDistributionalInvariants:

@@ -7,9 +7,12 @@ import pytest
 import detperm as dp
 from detperm.core import CapacityError, SymmetryError
 
-from conftest import assert_spectra_agree, kernel_from_spectrum, projection_from_rank
-
-WITNESS = np.array([[2.0, -1.0, -1.0], [-1.0, 2.0, -1.0], [-1.0, -1.0, 2.0]])
+from conftest import (
+    WITNESS_MATRIX,
+    assert_spectra_agree,
+    kernel_from_spectrum,
+    projection_from_rank,
+)
 
 
 def random_hermitian(rng, n, scale=1.0):
@@ -149,7 +152,7 @@ class TestPermanent:
 
     def test_witness_matrix(self):
         # sum over all 6 permutations: 8 + 2*(-1) + 3*2*(-1)... = 12
-        assert abs(dp.permanent(WITNESS) - 12.0) < 1e-12
+        assert abs(dp.permanent(WITNESS_MATRIX) - 12.0) < 1e-12
 
     def test_matches_brute_force(self, rng):
         for n in range(1, 7):
@@ -171,7 +174,7 @@ class TestAlphaDet:
     def test_witness_formula(self):
         for alpha in (-1.0, 0.0, 1.0, 2.0, 5.0):
             expected = 2 * (4 - alpha) * (alpha + 1)
-            assert abs(dp.alpha_det(WITNESS, alpha) - expected) < 1e-10
+            assert abs(dp.alpha_det(WITNESS_MATRIX, alpha) - expected) < 1e-10
 
     def test_capacity(self):
         with pytest.raises(CapacityError):
@@ -223,7 +226,7 @@ class TestJointIntensity:
             assert dp.joint_intensity(k, pts, kind="permanental") >= -1e-9
 
     def test_alpha_kind(self, rng):
-        k = dp.HermitianKernel(WITNESS.astype(complex), dp.GroundSet.uniform(3))
+        k = dp.HermitianKernel(WITNESS_MATRIX.astype(complex), dp.GroundSet.uniform(3))
         value = dp.joint_intensity(k, [0, 1, 2], kind="alpha", alpha=5.0)
         assert abs(value + 12.0) < 1e-10
 

@@ -9,7 +9,15 @@ import detperm as dp
 from detperm.core import InvalidEigenvalueError
 from detperm.permanental import standard_complex_normal
 
-from conftest import kernel_from_spectrum, projection_from_rank, projection_spectrum, tabulate
+from conftest import (
+    bosonic_density,
+    chi_square_homogeneity,
+    joint_counts_observable_perm,
+    kernel_from_spectrum,
+    projection_from_rank,
+    projection_spectrum,
+    tabulate,
+)
 
 ALPHA = 1e-3
 N_SAMPLES = 10000
@@ -92,50 +100,28 @@ class TestBosonicDensity:
         ell = 3
         pts = [0, 2, 2]
         expected = math.prod(abs(phi[0, p]) ** 2 for p in pts)
-        assert abs(dp.bosonic_density(phi, [ell], pts) - expected) < 1e-12
+        assert abs(bosonic_density(phi, [ell], pts) - expected) < 1e-12
 
     def test_distinct_states_integrate_to_one(self, rng):
         ground = dp.GroundSet(tuple(range(4)), np.array([0.5, 1.5, 1.0, 2.0]))
         phi = projection_spectrum(projection_from_rank(ground, 2, rng)).eigenvectors.T
         w = ground.weights
         total = sum(
-            dp.bosonic_density(phi, [1, 1], [x, y]) * w[x] * w[y]
+            bosonic_density(phi, [1, 1], [x, y]) * w[x] * w[y]
             for x in range(4)
             for y in range(4)
         )
         assert abs(total - 1.0) < 1e-10
 
     def test_empty_tuple(self, rng):
-        assert dp.bosonic_density(np.zeros((1, 3), dtype=complex), [0], []) == 1.0
-
-
-class TestMixtureLabel:
-    def test_zero_kernel(self, rng):
-        k = dp.HermitianKernel(np.zeros((3, 3), dtype=complex), dp.GroundSet.uniform(3))
-        assert dp.sample_mixture_label(k, rng).tolist() == [0, 0, 0]
-
-    def test_single_unit_eigenvalue_pmf(self, rng):
-        k = dp.HermitianKernel(np.array([[1.0]], dtype=complex), dp.GroundSet.uniform(1))
-        draws = [int(dp.sample_mixture_label(k, rng)[0]) for _ in range(N_SAMPLES)]
-        width = 25
-        report = dp.chi_square_fit(
-            tabulate(draws, width), geometric_pmf(1.0, width), tail_bound=2.0**-width
-        )
-        assert report.p_value > ALPHA, report
-
-    def test_total_matches_count_law(self, rng):
-        k = kernel_from_spectrum(dp.GroundSet.uniform(2), [0.7, 1.5], rng)
-        law = dp.count_pmf_perm(k, [0, 1], 60)
-        draws = [int(dp.sample_mixture_label(k, rng).sum()) for _ in range(N_SAMPLES)]
-        report = dp.chi_square_fit(tabulate(draws, 61), law.pmf, tail_bound=law.tail_bound)
-        assert report.p_value > ALPHA, report
+        assert bosonic_density(np.zeros((1, 3), dtype=complex), [0], []) == 1.0
 
 
 class TestJointCountsObservablePerm:
     def test_single_cell_is_geometric(self, rng):
         lam = 1.2
         draws = [
-            int(dp.joint_counts_observable_perm(np.array([[lam]]), rng)[0])
+            int(joint_counts_observable_perm(np.array([[lam]]), rng)[0])
             for _ in range(N_SAMPLES)
         ]
         width = 40
@@ -150,7 +136,7 @@ class TestJointCountsObservablePerm:
         row = np.array([[0.5, 0.5]])
         strata = {}
         for _ in range(N_SAMPLES):
-            c = dp.joint_counts_observable_perm(row, rng)
+            c = joint_counts_observable_perm(row, rng)
             strata.setdefault(int(c.sum()), []).append(int(c[0]))
         for n in (1, 2, 3):
             firsts = strata.get(n, [])
@@ -173,8 +159,8 @@ class TestJointCountsObservablePerm:
         for _ in range(N_SAMPLES):
             mult = dp.sample_permanental(kernel, rng).multiplicities()
             a[(mult.get(0, 0), mult.get(1, 0))] += 1
-            b[tuple(dp.joint_counts_observable_perm(lam_matrix, rng))] += 1
-        report = dp.chi_square_homogeneity(a, b)
+            b[tuple(joint_counts_observable_perm(lam_matrix, rng))] += 1
+        report = chi_square_homogeneity(a, b)
         assert report.p_value > ALPHA, report
 
 

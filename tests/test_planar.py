@@ -4,15 +4,18 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy import integrate, stats
 
 import detperm as dp
 from detperm.core import DiscretizationError, ParameterError
 from detperm.planar import base_density
 
-from conftest import assert_spectra_agree
+from conftest import (
+    assert_spectra_agree,
+    chi_square_homogeneity,
+    joint_counts_observable,
+    power_independence_check,
+)
 
 ALPHA = 1e-3
 # every grid the test suite discretizes: (base, terms, h, radius)
@@ -43,10 +46,11 @@ class TestRadialKernelSpec:
     def test_normalizers_against_quadrature(self, name):
         base = base_density(name)
         upper = 60.0 if name == "gaussian" else 1.0
+        # the base's squared modulus is Exp(1), respectively uniform on [0, 1]
+        pdf = stats.expon.pdf if name == "gaussian" else stats.uniform.pdf
         for k in range(5):
             a2 = 1.0 / base.moment(k)
-            value, _ = integrate.quad(lambda q: a2 * base.q_density(0, q) * q**k, 0, upper)
-            # q_density(0, .) is the base modulus-squared density itself
+            value, _ = integrate.quad(lambda q: a2 * pdf(q) * q**k, 0, upper)
             assert abs(value * base.moment(0) - 1.0) < 1e-8
 
     def test_json_round_trip_and_auto(self):
@@ -106,21 +110,24 @@ class TestSampleRadialModuli:
 
 class TestModulusLaws:
     def test_gaussian_sized_biased_density_is_gamma(self):
+        # the k-times size-biased law's CDF, hence its density, is gamma(k + 1)
         base = base_density("gaussian")
         for k in range(4):
             for q in (0.1, 0.7, 1.9, 4.2):
-                assert abs(base.q_density(k, q) - stats.gamma.pdf(q, k + 1)) < 1e-12
-            total, _ = integrate.quad(lambda q: base.q_density(k, q), 0, 80)
-            assert abs(total - 1.0) < 1e-8
+                assert abs(base.cdf_q(k, q) - stats.gamma.cdf(q, k + 1)) < 1e-12
+            assert abs(base.cdf_q(k, 80.0) - 1.0) < 1e-8
 
     def test_size_biasing_chain_likelihood_ratio(self):
+        # dP_k / dP_(k-1) at q is (a_k / a_(k-1)) q; integrated by parts,
+        # F_k(q) = (a_k / a_(k-1)) (q F_(k-1)(q) - int_0^q F_(k-1))
         for name in ("gaussian", "lebesgue-disk"):
             base = base_density(name)
             a = [1.0 / base.moment(k) for k in range(4)]
             for k in range(1, 4):
                 for q in (0.05, 0.3, 0.8):
-                    ratio = base.q_density(k, q) / base.q_density(k - 1, q)
-                    assert abs(ratio - (a[k] / a[k - 1]) * q) < 1e-10
+                    area, _ = integrate.quad(lambda t: base.cdf_q(k - 1, t), 0, q, epsabs=1e-14)
+                    chained = (a[k] / a[k - 1]) * (q * base.cdf_q(k - 1, q) - area)
+                    assert abs(chained - base.cdf_q(k, q)) < 1e-10
 
 
 class TestAnnuliLambdas:
@@ -162,8 +169,8 @@ class TestAnnuliLambdas:
                 sum(1 for q in moduli if lo * lo < q <= hi * hi) for lo, hi in annuli
             )
             a[key] += 1
-            b[tuple(dp.joint_counts_observable(lam, rng))] += 1
-        report = dp.chi_square_homogeneity(a, b)
+            b[tuple(joint_counts_observable(lam, rng))] += 1
+        report = chi_square_homogeneity(a, b)
         assert report.p_value > ALPHA, report
 
 
@@ -283,46 +290,6 @@ class TestSampleClouds:
         assert a["determinantal"] == dp.sample_dpp(kernel, rng)
 
 
-class TestTorusMoment:
-    def test_plain_density_examples(self):
-        one = dp.LaurentPoly({(0,): 1.0}, 1)
-        assert dp.torus_moment(one, (3,)) == 0.0
-        assert dp.torus_moment(one, (0,)) == 1.0
-
-    def test_degree_one_fixture_vanishes_at_higher_powers(self):
-        # density 1 + (z + conj(z))/2 has angular degree 1
-        poly = dp.LaurentPoly({(0,): 1.0, (1,): 0.5, (-1,): 0.5}, 1)
-        for m in range(1, 6):
-            assert dp.torus_moment(poly, (2 * m,)) == 0.0
-        assert dp.torus_moment(poly, (1,)) == 0.5
-
-    @given(
-        st.dictionaries(
-            st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
-            st.complex_numbers(max_magnitude=5, allow_nan=False, allow_infinity=False),
-            max_size=8,
-        )
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_conjugate_symmetry_for_real_densities(self, half):
-        # symmetrize into a real density, then moments pair up conjugately
-        coeffs = {}
-        for key, val in half.items():
-            coeffs[key] = coeffs.get(key, 0) + val / 2
-            neg = tuple(-e for e in key)
-            coeffs[neg] = coeffs.get(neg, 0) + val.conjugate() / 2
-        poly = dp.LaurentPoly(coeffs, 2)
-        assert poly.is_conjugate_symmetric(tol=1e-12)
-        for key in list(coeffs) + [(2, -1), (0, 3)]:
-            lhs = dp.torus_moment(poly, key)
-            rhs = dp.torus_moment(poly, tuple(-e for e in key)).conjugate()
-            assert abs(lhs - rhs) < 1e-12
-
-    def test_exponent_arity_checked(self):
-        with pytest.raises(dp.DetpermError):
-            dp.LaurentPoly({(0, 1): 1.0}, 1)
-
-
 @pytest.fixture(scope="module")
 def ginibre3_grid_samples():
     kernel, _ = dp.discretize_radial_kernel(dp.ginibre_spec(3), 0.25, 3.5)
@@ -337,17 +304,17 @@ class TestPowerIndependence:
         kernel, _ = dp.discretize_radial_kernel(dp.ginibre_spec(1), 0.3, 3.0)
         centers = np.array(kernel.ground.labels)
         samples = [centers[list(dp.sample_dpp(kernel, rng).points)] for _ in range(4000)]
-        report = dp.power_independence_check(samples, power=1, degree=0)
+        report = power_independence_check(samples, power=1)
         assert report.passed
 
     def test_high_power_passes_for_truncated_kernel(self, ginibre3_grid_samples):
         _, _, samples = ginibre3_grid_samples
-        report = dp.power_independence_check(samples, power=3, degree=2)
+        report = power_independence_check(samples, power=3)
         assert report.passed
 
     def test_low_power_flags_diagonal_deviation(self, ginibre3_grid_samples):
         kernel, centers, samples = ginibre3_grid_samples
-        report = dp.power_independence_check(samples, power=1, degree=2)
+        report = power_independence_check(samples, power=1)
         row = report.row(1, 1)
         assert row.flagged
         # exact pair-sum oracle on the discretized kernel itself
@@ -361,4 +328,4 @@ class TestPowerIndependence:
 
     def test_empty_sample_list_rejected(self):
         with pytest.raises(dp.DetpermError):
-            dp.power_independence_check([], power=2, degree=1)
+            power_independence_check([], power=2)
