@@ -34,9 +34,7 @@ from .permanental import (
     sample_permanental,
 )
 from .alphadet import (
-    AlphaRegime,
     alpha_count_pmf,
-    classify_alpha,
     sample_alpha,
 )
 from .planar import (

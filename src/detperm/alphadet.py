@@ -9,10 +9,7 @@ to fall back on, and for alpha > 4 a three-point kernel witnesses that no
 process can exist at all.
 """
 
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,37 +34,20 @@ from .kernels import (
 )
 from .permanental import sample_permanental
 
-DET_UNION = "det-union"
-PERM_UNION = "perm-union"
-UNSUPPORTED = "unsupported"
 
-@dataclass(frozen=True)
-class AlphaRegime:
-    alpha: float
-    mode: str
-    copies: int | None = None
-
-
-def classify_alpha(alpha):
-    """Classify alpha: union of -1/alpha determinantal copies, union of
-    1/alpha permanental copies, or unsupported.  The copy count is
-    m = 1/|alpha| and the sign of alpha picks the mode; 0, +-inf and NaN,
-    which give no finite positive m, are unsupported."""
+def union_copies(alpha):
+    """The number m = 1/|alpha| of copies in the union, when it is a
+    positive integer within RECIPROCAL_TOL; the sign of alpha picks
+    determinantal (alpha < 0) or permanental (alpha > 0) copies.  0, +-inf
+    and NaN give no finite positive m.  Every other alpha raises."""
     a = float(alpha)
     m = 1.0 / abs(a) if a else math.inf
     copies = round(m) if math.isfinite(m) else 0
     if copies >= 1 and abs(m - copies) <= RECIPROCAL_TOL * copies:
-        return AlphaRegime(a, DET_UNION if a < 0 else PERM_UNION, copies)
-    return AlphaRegime(a, UNSUPPORTED)
-
-
-def _require_supported(alpha):
-    regime = classify_alpha(alpha)
-    if regime.mode == UNSUPPORTED:
-        raise UnsupportedAlphaError(
-            f"alpha={alpha!r}: neither -1/alpha nor 1/alpha is a positive integer"
-        )
-    return regime
+        return copies
+    raise UnsupportedAlphaError(
+        f"alpha={alpha!r}: neither -1/alpha nor 1/alpha is a positive integer"
+    )
 
 
 def scaled_kernel(kernel, factor):
@@ -85,22 +65,14 @@ def scaled_kernel(kernel, factor):
 def sample_alpha(kernel, alpha, rng):
     """Draw one alpha-determinantal sample as a multiset union of
     independent copies (streams are split one per copy)."""
-    regime = _require_supported(alpha)
-    points = []
-    streams = split(rng, regime.copies)
-    if regime.mode == DET_UNION:
-        base = scaled_kernel(kernel, -regime.alpha)
+    streams = split(rng, union_copies(alpha))
+    base = scaled_kernel(kernel, abs(float(alpha)))
+    if alpha < 0:
         verdict = validate_determinantal(base)
         if not verdict:
-            raise KernelValidationError(
-                f"-alpha*K is not determinantal: {verdict.reason}"
-            )
-        for child in streams:
-            points.extend(sample_dpp(base, child).points)
-    else:
-        base = scaled_kernel(kernel, regime.alpha)
-        for child in streams:
-            points.extend(sample_permanental(base, child).points)
+            raise KernelValidationError(f"-alpha*K is not determinantal: {verdict.reason}")
+    draw = sample_dpp if alpha < 0 else sample_permanental
+    points = [p for child in streams for p in draw(base, child).points]
     return PointConfiguration(tuple(sorted(points)), simple=False)
 
 
@@ -114,13 +86,13 @@ def alpha_count_pmf(kernel, alpha, subset, n_max=None):
     convolution, so alpha = -1 and alpha = +1 reproduce the determinantal
     and permanental count laws bit for bit.
     """
-    regime = _require_supported(alpha)
+    copies = union_copies(alpha)
     idx = list(subset)
     if not idx:
         return CountDistribution(np.array([1.0]), 0.0)
     lams = clamp_nonnegative(eigenvalues(restrict(kernel, idx)))
-    per_copy = np.repeat(abs(regime.alpha) * lams, regime.copies)
-    if regime.mode == DET_UNION:
+    per_copy = np.repeat(abs(float(alpha)) * lams, copies)
+    if alpha < 0:
         return bernoulli_sum_pmf(per_copy)
     if n_max is None:
         raise KernelValidationError("n_max is required for alpha > 0 count laws")

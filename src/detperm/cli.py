@@ -16,7 +16,7 @@ import numpy as np
 
 from . import planar
 from .alphadet import alpha_count_pmf, sample_alpha
-from .core import DetpermError, SymmetryError, _encode_label, stream
+from .core import DetpermError, SymmetryError, _encode_label, require_int, stream
 from .dpp import count_pmf, sample_dpp
 from .harness import run_suite
 from .kernels import HermitianKernel, KernelVerdict, validate_determinantal
@@ -228,6 +228,8 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if hasattr(args, "count"):
+            require_int(args.count, "--count", 0)
         return args.func(args)
     except (DetpermError, OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -88,6 +88,15 @@ class GraphError(DetpermError):
     """A graph input violates a structural requirement."""
 
 
+def require_int(value, name, minimum):
+    """``value`` as an int if it is an integer, not a bool, of at least
+    ``minimum``; otherwise ParameterError.  1.5, true and "3" are rejected,
+    not rounded."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ParameterError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
+
+
 # ---------------------------------------------------------------------------
 # randomness
 

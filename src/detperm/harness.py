@@ -18,6 +18,7 @@ from .core import (
     DetpermError,
     ParameterError,
     bernoulli_sum_pmf,
+    require_int,
     sample_categorical,
     stream,
 )
@@ -88,7 +89,7 @@ def _smirnov_sf(d, n):
     j = np.arange(int(n * (1 - d)) + 1)
     s = d + j / n
     j, s = j[s < 1], s[s < 1]
-    log_factorial = np.array([math.lgamma(i + 1) for i in range(n + 1)])
+    log_factorial = np.concatenate([[0.0], np.cumsum(np.log(np.arange(1.0, n + 1)))])
     log_terms = (log_factorial[n] - log_factorial[j] - log_factorial[n - j]
                  + (n - j) * np.log1p(-s) + (j - 1) * np.log(s))
     top = log_terms.max()
@@ -306,10 +307,15 @@ def clt_check(lambda_sequences, samples_per_level, rng):
 # named suite checks (the `verify` command)
 
 
+def _positive(params, key, default=None):
+    """``params[key]``, or the default where it is absent, as a positive integer."""
+    return require_int(params.get(key, default), f"check parameter {key!r}", 1)
+
+
 def _subset_count_fit(draw, subset, law, params, rng, description):
     """Chi-square of the number of drawn points in ``subset`` against its
     exact count law, over ``params["samples"]`` draws of ``draw(rng)``."""
-    n = int(params.get("samples", 20000))
+    n = _positive(params, "samples", 20000)
     sub = set(int(i) for i in subset)
     counts = [sum(1 for p in draw(rng) if p in sub) for _ in range(n)]
     return [chi_square_fit(counts_from_values(counts), law.pmf, tail_bound=law.tail_bound,
@@ -335,7 +341,7 @@ def _check_perm_count_law(params, rng):
 
 def _check_categorical(params, rng):
     w = np.asarray(params["weights"], dtype=float)
-    n = int(params.get("samples", 100000))
+    n = _positive(params, "samples", 100000)
     draws = [sample_categorical(w, rng) for _ in range(n)]
     return [chi_square_fit(counts_from_values(draws, n_bins=len(w)), w / w.sum(),
                            description="categorical sampler frequencies")]
@@ -345,7 +351,7 @@ def _moduli_fits(spec, describe, params, rng):
     """KS fit of each term's squared modulus, over ``params["samples"]``
     draws, against the term's law in the spec's radial base;
     ``describe(k)`` gives the description for term k."""
-    n_samples = int(params.get("samples", 100000))
+    n_samples = _positive(params, "samples", 100000)
     draws = np.array([sample_radial_moduli(spec, rng) for _ in range(n_samples)])
     cdf_q = base_density(spec.base).cdf_q
     return [ks_fit(draws[:, k], functools.partial(cdf_q, t.degree), description=describe(k))
@@ -353,12 +359,12 @@ def _moduli_fits(spec, describe, params, rng):
 
 
 def _check_kostlan(params, rng):
-    return _moduli_fits(ginibre_spec(int(params["n"])),
+    return _moduli_fits(ginibre_spec(_positive(params, "n")),
                         lambda k: f"modulus^2 #{k + 1} vs gamma({k + 1}, 1)", params, rng)
 
 
 def _check_gaf(params, rng):
-    return _moduli_fits(bergman_spec(int(params["n"])),
+    return _moduli_fits(bergman_spec(_positive(params, "n")),
                         lambda k: f"modulus^2 term {k} vs beta({k + 1}, 1)", params, rng)
 
 
@@ -368,7 +374,7 @@ def _check_clt(params, rng):
         levels = [[float(spec["p"])] * int(size) for size in spec["sizes"]]
     else:
         levels = params["levels"]
-    n = int(params.get("samples", 20000))
+    n = _positive(params, "samples", 20000)
     return [clt_check(levels, n, rng)]
 
 

@@ -27,6 +27,7 @@ from .core import (
     ParameterError,
     PointConfiguration,
     gamma_cdf,
+    require_int,
     sample_poisson_array,
 )
 from .dpp import sample_dpp
@@ -143,12 +144,18 @@ class RadialKernelSpec:
     def from_json(obj):
         b = base_density(obj["base"])
         raw_terms = obj["terms"]
+        degrees = [require_int(t["k"], "term degree k", 0) for t in raw_terms]
+        try:
+            moments = [b.moment(k) for k in degrees]
+        except OverflowError:
+            raise ParameterError(f"a term degree too large for the {b.name} base") from None
         a2 = obj.get("a2", "auto")
-        terms = []
-        for i, t in enumerate(raw_terms):
-            k = int(t["k"])
-            norm_sq = 1.0 / b.moment(k) if a2 == "auto" else float(a2[i])
-            terms.append(RadialTerm(k, float(t["lambda"]), norm_sq))
+        if a2 == "auto":
+            a2 = [1.0 / m for m in moments]
+        elif not isinstance(a2, list) or len(a2) != len(raw_terms):
+            raise ParameterError(f"'a2' must be \"auto\" or one value per term, got {a2!r}")
+        terms = (RadialTerm(k, float(t["lambda"]), float(norm_sq))
+                 for k, t, norm_sq in zip(degrees, raw_terms, a2))
         return RadialKernelSpec(tuple(terms), obj["base"])
 
     @staticmethod

@@ -6,12 +6,7 @@ import pytest
 from scipy import stats
 
 import detperm as dp
-from detperm.alphadet import (
-    DET_UNION,
-    PERM_UNION,
-    UNSUPPORTED,
-    scaled_kernel,
-)
+from detperm.alphadet import scaled_kernel, union_copies
 from detperm.core import UnsupportedAlphaError
 
 from conftest import (
@@ -26,30 +21,26 @@ ALPHA = 1e-3
 N_SAMPLES = 10000
 
 
+# (alpha, copies in the union), None where no exact sampler exists
+UNION_CASES = [(-1.0, 1), (-0.5, 2), (-1.0 / 3.0, 3), (1.0, 1), (0.5, 2), (0.25, 4),
+               (0.4, None), (-0.4, None), (2.0, None), (0.0, None), (-2.0, None),
+               (math.nan, None), (math.inf, None), (-math.inf, None)]
+
+
+def _union_case_id(alpha, copies):
+    kind = "unsupported" if copies is None else "det-union" if alpha < 0 else "perm-union"
+    return f"{alpha}-{kind}-{copies}"
+
+
 class TestClassify:
-    @pytest.mark.parametrize(
-        "alpha,mode,copies",
-        [
-            (-1.0, DET_UNION, 1),
-            (-0.5, DET_UNION, 2),
-            (-1.0 / 3.0, DET_UNION, 3),
-            (1.0, PERM_UNION, 1),
-            (0.5, PERM_UNION, 2),
-            (0.25, PERM_UNION, 4),
-            (0.4, UNSUPPORTED, None),
-            (-0.4, UNSUPPORTED, None),
-            (2.0, UNSUPPORTED, None),
-            (0.0, UNSUPPORTED, None),
-            (-2.0, UNSUPPORTED, None),
-            (math.nan, UNSUPPORTED, None),
-            (math.inf, UNSUPPORTED, None),
-            (-math.inf, UNSUPPORTED, None),
-        ],
-    )
-    def test_modes(self, alpha, mode, copies):
-        regime = dp.classify_alpha(alpha)
-        assert regime.mode == mode
-        assert regime.copies == copies
+    @pytest.mark.parametrize("alpha,copies", UNION_CASES,
+                             ids=[_union_case_id(*case) for case in UNION_CASES])
+    def test_modes(self, alpha, copies):
+        if copies is None:
+            with pytest.raises(UnsupportedAlphaError, match="is a positive integer"):
+                union_copies(alpha)
+        else:
+            assert union_copies(alpha) == copies
 
     def test_unsupported_alpha_fails_loudly(self, rng):
         k = kernel_from_spectrum(dp.GroundSet.uniform(2), [0.5, 0.5], rng)

@@ -12,7 +12,8 @@ from detperm.cli import _emit_samples, main
 
 from conftest import kernel_from_spectrum, projection_from_rank
 
-EXAMPLE_SUITE = Path(__file__).resolve().parents[1] / "scripts" / "example_suite.json"
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+EXAMPLE_SUITE = SCRIPTS / "example_suite.json"
 # stdout of `detperm verify --suite scripts/example_suite.json --seed 4`
 EXAMPLE_VERIFY_OUTPUT = Path(__file__).resolve().parent / "data" / "verify_example_seed4.jsonl"
 
@@ -211,6 +212,25 @@ class TestRadialCommand:
         assert kinds <= {"poisson", "determinantal", "permanental"}
         assert "determinantal" in kinds
 
+    @pytest.mark.parametrize("terms,a2", [
+        pytest.param([{"k": 1.5, "lambda": 1.0}], "auto", id="fractional-degree"),
+        pytest.param([{"k": True, "lambda": 1.0}], "auto", id="boolean-degree"),
+        pytest.param([{"k": 0, "lambda": 1.0}, {"k": 1, "lambda": 1.0}], [1.0], id="short-a2"),
+        pytest.param([{"k": 400, "lambda": 1.0}], "auto", id="overflowing-normalizer")])
+    def test_malformed_spec_exits_two(self, tmp_path, capsys, terms, a2):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"terms": terms, "base": "gaussian", "a2": a2}))
+        assert main(["radial", "sample", "--spec", str(path), "--seed", "9"]) == 2
+        assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv", [["sample", "dpp", "--kernel"], ["radial", "sample", "--spec"],
+                                  ["ust", "sample", "--graph"]], ids=["sample", "radial", "ust"])
+def test_negative_count_exits_two(argv, kernel_file, spec_file, graph_file, capsys):
+    path = {"sample": kernel_file, "radial": spec_file, "ust": graph_file}[argv[0]]
+    assert main(argv + [path, "--count", "-2", "--seed", "1"]) == 2
+    assert "--count must be an integer >= 0" in capsys.readouterr().err
+
 
 class TestUstCommand:
     def test_sample_trees(self, graph_file, capsys):
@@ -297,7 +317,40 @@ class TestVerifyCommand:
         assert len(verify.stdout.strip().splitlines()) == 9
         assert verify.stderr.strip() == "[]"
 
+    @pytest.mark.parametrize("check", [
+        {"type": "kostlan", "n": 2, "samples": 0}, {"type": "gaf", "n": 2, "samples": 0},
+        {"type": "clt", "binomial_levels": {"p": 0.5, "sizes": [4, 8, 16]}, "samples": 0},
+        {"type": "kostlan", "n": 0}, {"type": "gaf", "n": -2}, {"type": "kostlan", "n": True}])
+    def test_malformed_check_parameter_exits_two(self, tmp_path, capsys, check):
+        # exit 1 means a check failed; a suite that cannot run is malformed input
+        suite = tmp_path / "suite.json"
+        suite.write_text(json.dumps({"checks": [check]}))
+        assert main(["verify", "--suite", str(suite), "--seed", "4"]) == 2
+        assert "must be an integer >= 1" in capsys.readouterr().err
+
     def test_malformed_suite_exits_two(self, tmp_path):
         suite = tmp_path / "broken.json"
         suite.write_text("{not json")
         assert main(["verify", "--suite", str(suite), "--seed", "4"]) == 2
+
+
+class TestPaperRuns:
+    """The paper's two experiments are committed inputs to the CLI."""
+
+    def test_fig1_clouds(self, tmp_path):
+        spec = SCRIPTS / "fig1_ginibre12.json"
+        assert dp.RadialKernelSpec.load(spec) == dp.ginibre_spec(12)
+        out = tmp_path / "clouds.csv"
+        assert main(["radial", "cloud", "--spec", str(spec), "--grid-h", "0.5",
+                     "--radius", "2.5", "--seed", "7", "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert lines[0] == "process,sample,re,im"
+        assert {line.split(",")[0] for line in lines[1:]} == {
+            "poisson", "determinantal", "permanental"}
+
+    def test_moduli_suite(self, capsys):
+        assert main(["verify", "--suite", str(SCRIPTS / "moduli_suite.json"), "--seed", "11"]) == 0
+        reports = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert [r["description"] for r in reports] == (
+            [f"modulus^2 #{k + 1} vs gamma({k + 1}, 1)" for k in range(5)]
+            + [f"modulus^2 term {k} vs beta({k + 1}, 1)" for k in range(5)])
