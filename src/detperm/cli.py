@@ -15,12 +15,11 @@ import sys
 import numpy as np
 
 from . import planar
-from .alphadet import alpha_count_pmf, sample_alpha
+from .alphadet import sample_alpha
 from .core import DetpermError, SymmetryError, _encode_label, require_int, stream
-from .dpp import count_pmf, sample_dpp
+from .dpp import count_pmf
 from .harness import run_suite
 from .kernels import HermitianKernel, KernelVerdict, validate_determinantal
-from .permanental import count_pmf_perm, sample_permanental
 from .ust import Graph, sample_ust
 
 
@@ -84,34 +83,30 @@ def _emit_samples(configs, ground, fmt, out):
             print(",".join(_format_label(x) for x in labels), file=out)
 
 
+def _alpha(args):
+    """The alpha of the process kind: dpp is alpha = -1, perm is +1, and
+    alpha takes --alpha."""
+    if args.kind != "alpha":
+        return -1.0 if args.kind == "dpp" else 1.0
+    if args.alpha is None:
+        raise DetpermError("kind 'alpha' requires --alpha")
+    return args.alpha
+
+
 def _cmd_sample(args):
     kernel = HermitianKernel.load(args.kernel)
     rng = stream(args.seed)
-    if args.kind == "dpp":
-        draw = lambda: sample_dpp(kernel, rng)
-    elif args.kind == "perm":
-        draw = lambda: sample_permanental(kernel, rng)
-    else:
-        if args.alpha is None:
-            raise DetpermError("sampling kind 'alpha' requires --alpha")
-        draw = lambda: sample_alpha(kernel, args.alpha, rng)
+    alpha = _alpha(args)
     with _open_out(args.out) as out:
-        _emit_samples((draw() for _ in range(args.count)), kernel.ground, args.format, out)
+        _emit_samples((sample_alpha(kernel, alpha, rng) for _ in range(args.count)),
+                      kernel.ground, args.format, out)
     return 0
 
 
 def _cmd_counts(args):
     kernel = HermitianKernel.load(args.kernel)
     subset = [int(s) for s in args.subset.split(",")] if args.subset else []
-    if args.kind == "dpp":
-        law = count_pmf(kernel, subset)
-    elif args.kind == "perm":
-        law = count_pmf_perm(kernel, subset, args.nmax)
-    else:
-        if args.alpha is None:
-            raise DetpermError("count kind 'alpha' requires --alpha")
-        law = alpha_count_pmf(kernel, args.alpha, subset, args.nmax)
-    _dump(law.to_json(), sys.stdout)
+    _dump(count_pmf(kernel, subset, _alpha(args), args.nmax).to_json(), sys.stdout)
     return 0
 
 

@@ -97,6 +97,29 @@ def require_int(value, name, minimum):
     return int(value)
 
 
+def require_real(value, name):
+    """``value`` as a float if it is a finite real number, not a bool;
+    otherwise ParameterError.  None, true and "0.5" are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ParameterError(f"{name} must be a finite real number, got {value!r}")
+    return float(value)
+
+
+def union_copies(alpha):
+    """The number m = 1/|alpha| of copies in the alpha-determinantal union,
+    when it is a positive integer within RECIPROCAL_TOL; the sign of alpha
+    picks determinantal (alpha < 0) or permanental (alpha > 0) copies.
+    0, +-inf and NaN give no finite positive m.  Every other alpha raises."""
+    a = float(alpha)
+    m = 1.0 / abs(a) if a else math.inf
+    copies = round(m) if math.isfinite(m) else 0
+    if copies >= 1 and abs(m - copies) <= RECIPROCAL_TOL * copies:
+        return copies
+    raise UnsupportedAlphaError(
+        f"alpha={alpha!r}: neither -1/alpha nor 1/alpha is a positive integer"
+    )
+
+
 # ---------------------------------------------------------------------------
 # randomness
 

@@ -5,7 +5,8 @@ processes: ``sample_dpp`` keeps each eigenfunction of the kernel's
 ``Spectrum`` with probability equal to its eigenvalue, and
 ``sample_projection`` then draws the projection process onto the kept
 columns.  Counts in any subset therefore follow an explicit Bernoulli
-convolution.
+convolution; ``count_pmf`` gives it, and with its ``alpha`` the count law
+of every alpha-determinantal process.
 
 The projection sampler is the sequential Schur-complement ("Cholesky")
 chain rule.  Let V be the kept columns of ``Spectrum.weighted``, the
@@ -36,10 +37,13 @@ from .core import (
     CountDistribution,
     KernelValidationError,
     NumericalDegeneracyError,
+    ParameterError,
     PointConfiguration,
     bernoulli_sum_pmf,
     clamp_unit_interval,
+    geometric_sum_pmf,
     sample_categorical,
+    union_copies,
 )
 from .kernels import eigenvalues, restrict, spectrum, validate_determinantal
 
@@ -100,11 +104,25 @@ def sample_dpp(kernel, rng):
     return sample_projection(spec, rng, keep)
 
 
-def count_pmf(kernel, subset):
-    """Exact count distribution over a subset of atoms: the Bernoulli
-    convolution of the restricted kernel's eigenvalues."""
+def count_pmf(kernel, subset, alpha=-1.0, n_max=None):
+    """Exact count distribution over a subset of atoms for the
+    alpha-determinantal process of the kernel, by default the determinantal
+    one (alpha = -1).
+
+    With m = union_copies(alpha), the count is a sum of independent
+    variables, m for each eigenvalue lambda of the restricted kernel, with
+    parameter |alpha| lambda: Bernoulli for alpha < 0, so a binomial per
+    eigenvalue, and geometric for alpha > 0, so a negative binomial per
+    eigenvalue, truncated at ``n_max``.  So alpha = -1 gives the
+    determinantal and alpha = +1 the permanental count law.
+    """
+    copies = union_copies(alpha)
     idx = list(subset)
     if not idx:
         return CountDistribution(np.array([1.0]), 0.0)
-    sub = restrict(kernel, idx)
-    return bernoulli_sum_pmf(eigenvalues(sub))
+    lams = np.repeat(abs(float(alpha)) * eigenvalues(restrict(kernel, idx)), copies)
+    if alpha < 0:
+        return bernoulli_sum_pmf(lams)
+    if n_max is None:
+        raise ParameterError("n_max is required for alpha > 0 count laws")
+    return geometric_sum_pmf(lams, n_max)

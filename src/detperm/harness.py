@@ -19,12 +19,13 @@ from .core import (
     ParameterError,
     bernoulli_sum_pmf,
     require_int,
+    require_real,
     sample_categorical,
     stream,
 )
-from .dpp import count_pmf, sample_dpp
+from .alphadet import sample_alpha
+from .dpp import count_pmf
 from .kernels import HermitianKernel
-from .permanental import count_pmf_perm, sample_permanental
 from .planar import base_density, bergman_spec, ginibre_spec, sample_radial_moduli
 from .ust import Graph, sample_ust, transfer_current_kernel
 
@@ -322,21 +323,16 @@ def _subset_count_fit(draw, subset, law, params, rng, description):
                            description=description)]
 
 
-def _check_dpp_count_law(params, rng):
+def _check_count_law(alpha, params, rng):
+    """Subset counts of the determinantal (alpha = -1) or permanental
+    (alpha = +1) process against ``count_pmf`` at that alpha."""
+    n_max = _positive(params, "nmax", 80) if alpha > 0 else None
     kernel = HermitianKernel.load(params["kernel"])
     subset = params.get("subset", list(range(kernel.size)))
-    return _subset_count_fit(lambda r: sample_dpp(kernel, r).points, subset,
-                             count_pmf(kernel, subset), params, rng,
-                             "determinantal subset counts vs Bernoulli convolution")
-
-
-def _check_perm_count_law(params, rng):
-    kernel = HermitianKernel.load(params["kernel"])
-    subset = params.get("subset", list(range(kernel.size)))
-    law = count_pmf_perm(kernel, subset, int(params.get("nmax", 80)))
-    return _subset_count_fit(lambda r: sample_permanental(kernel, r).points, subset,
-                             law, params, rng,
-                             "permanental subset counts vs geometric convolution")
+    description = ("determinantal subset counts vs Bernoulli convolution" if alpha < 0
+                   else "permanental subset counts vs geometric convolution")
+    return _subset_count_fit(lambda r: sample_alpha(kernel, alpha, r).points, subset,
+                             count_pmf(kernel, subset, alpha, n_max), params, rng, description)
 
 
 def _check_categorical(params, rng):
@@ -371,7 +367,8 @@ def _check_gaf(params, rng):
 def _check_clt(params, rng):
     if "binomial_levels" in params:
         spec = params["binomial_levels"]
-        levels = [[float(spec["p"])] * int(size) for size in spec["sizes"]]
+        p = require_real(spec["p"], "binomial_levels p")
+        levels = [[p] * require_int(size, "binomial_levels size", 1) for size in spec["sizes"]]
     else:
         levels = params["levels"]
     n = _positive(params, "samples", 20000)
@@ -387,8 +384,8 @@ def _check_ust_subset_counts(params, rng):
 
 
 _CHECKS = {
-    "dpp_count_law": _check_dpp_count_law,
-    "perm_count_law": _check_perm_count_law,
+    "dpp_count_law": functools.partial(_check_count_law, -1.0),
+    "perm_count_law": functools.partial(_check_count_law, 1.0),
     "categorical": _check_categorical,
     "kostlan": _check_kostlan,
     "gaf": _check_gaf,
@@ -404,9 +401,11 @@ def run_suite(suite, seed):
     check consumes an independent split of the master seed, so adding a
     check never perturbs the others.
     """
-    checks = suite.get("checks")
+    checks = suite.get("checks") if isinstance(suite, dict) else None
     if not isinstance(checks, list) or not checks:
-        raise DetpermError("suite must contain a non-empty 'checks' list")
+        raise DetpermError("suite must be an object with a non-empty 'checks' list")
+    if not all(isinstance(check, dict) for check in checks):
+        raise DetpermError("each check must be an object")
     master = stream(seed)
     streams = master.spawn(len(checks))
     reports = []

@@ -128,10 +128,11 @@ class HermitianKernel:
         if "matrix_real" in obj:
             matrix = np.asarray(obj["matrix_real"], dtype=float).astype(complex)
         elif "matrix" in obj:
-            matrix = np.array(
-                [[complex(entry[0], entry[1]) for entry in row] for row in obj["matrix"]],
-                dtype=complex,
-            )
+            pairs = np.asarray(obj["matrix"])
+            if pairs.dtype.kind not in "iuf" or pairs.ndim != 3 or pairs.shape[2] != 2:
+                raise DetpermError(f"'matrix' must hold [re, im] number pairs, got "
+                                   f"{pairs.dtype} entries of shape {pairs.shape}")
+            matrix = pairs.astype(float, copy=False).view(complex)[..., 0]
         else:
             raise DetpermError("kernel JSON needs a 'matrix' or 'matrix_real' field")
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
@@ -358,31 +359,29 @@ def alpha_det(matrix, alpha):
     return complex(total)
 
 
-def joint_intensity(kernel, points, kind="determinantal", alpha=None):
-    """Joint intensity of a point tuple: the determinant, permanent or
-    alpha-determinant of the corresponding kernel minor.
+def joint_intensity(kernel, points, alpha=-1.0):
+    """Joint intensity of a point tuple for the alpha-determinantal process
+    of the kernel: the alpha-determinant of the corresponding kernel minor,
+    which is its determinant at alpha = -1 (the default) and its permanent
+    at alpha = +1.
 
-    Repeats are allowed (and meaningful) for the permanental and alpha
-    kinds; a determinantal intensity with a repeated point is exactly 0.
+    Repeats are allowed (and meaningful) for alpha != -1; a determinantal
+    intensity with a repeated point is exactly 0.
     """
     idx = [int(p) for p in points]
     if any(i < 0 or i >= kernel.size for i in idx):
         raise DetpermError("point index outside the ground set")
     minor = kernel.minor(idx)
-    if kind == "determinantal":
+    if alpha == -1:
         if len(set(idx)) != len(idx):
             return 0.0
         value = complex(np.linalg.det(minor))
         if abs(value) <= SINGULARITY_TOL * np.prod(np.linalg.norm(minor, axis=1)):
             value = complex(0.0)
-    elif kind == "permanental":
+    elif alpha == 1:
         value = permanent(minor)
-    elif kind == "alpha":
-        if alpha is None:
-            raise DetpermError("alpha kind requires the alpha parameter")
-        value = alpha_det(minor, alpha)
     else:
-        raise DetpermError(f"unknown intensity kind {kind!r}")
+        value = alpha_det(minor, alpha)
     if abs(value.imag) > INTENSITY_IMAG_TOL * (1 + abs(value.real)):
         raise DetpermError(f"joint intensity came out non-real: {value!r}")
     return float(value.real)

@@ -16,15 +16,9 @@ import math
 
 import numpy as np
 
-from .core import (
-    CountDistribution,
-    DetpermError,
-    PointConfiguration,
-    clamp_nonnegative,
-    geometric_sum_pmf,
-    sample_poisson_array,
-)
-from .kernels import eigenvalues, restrict, spectrum
+from .core import DetpermError, PointConfiguration, clamp_nonnegative, sample_poisson_array
+from .dpp import count_pmf
+from .kernels import spectrum
 
 
 def standard_complex_normal(rng, size=None):
@@ -49,9 +43,7 @@ def sample_permanental(kernel, rng):
 
 
 def count_pmf_perm(kernel, subset, n_max):
-    """Exact (truncated) count distribution over a subset of atoms: the
-    geometric convolution of the restricted kernel's eigenvalues."""
-    idx = list(subset)
-    if not idx:
-        return CountDistribution(np.array([1.0]), 0.0)
-    return geometric_sum_pmf(eigenvalues(restrict(kernel, idx)), n_max)
+    """Exact (truncated) count distribution over a subset of atoms:
+    ``count_pmf`` at alpha = +1, the geometric convolution of the
+    restricted kernel's eigenvalues."""
+    return count_pmf(kernel, subset, 1.0, n_max)

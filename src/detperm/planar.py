@@ -28,6 +28,7 @@ from .core import (
     PointConfiguration,
     gamma_cdf,
     require_int,
+    require_real,
     sample_poisson_array,
 )
 from .dpp import sample_dpp
@@ -144,6 +145,8 @@ class RadialKernelSpec:
     def from_json(obj):
         b = base_density(obj["base"])
         raw_terms = obj["terms"]
+        if not isinstance(raw_terms, list):
+            raise ParameterError(f"'terms' must be a list, got {raw_terms!r}")
         degrees = [require_int(t["k"], "term degree k", 0) for t in raw_terms]
         try:
             moments = [b.moment(k) for k in degrees]
@@ -154,7 +157,8 @@ class RadialKernelSpec:
             a2 = [1.0 / m for m in moments]
         elif not isinstance(a2, list) or len(a2) != len(raw_terms):
             raise ParameterError(f"'a2' must be \"auto\" or one value per term, got {a2!r}")
-        terms = (RadialTerm(k, float(t["lambda"]), float(norm_sq))
+        terms = (RadialTerm(k, require_real(t["lambda"], "term lambda"),
+                            require_real(norm_sq, "a2 entry"))
                  for k, t, norm_sq in zip(degrees, raw_terms, a2))
         return RadialKernelSpec(tuple(terms), obj["base"])
 
@@ -218,8 +222,8 @@ def annuli_lambdas(spec, annuli):
 def square_grid(h, radius):
     """Centers of an origin-symmetric square lattice of spacing h that lie
     within the given radius."""
-    if h <= 0:
-        raise ParameterError("grid spacing must be positive")
+    if not (0 < h < math.inf and 0 <= radius < math.inf):
+        raise ParameterError(f"need a finite spacing h > 0 and radius >= 0, got {h!r}, {radius!r}")
     n_half = int(math.ceil(radius / h))
     offsets = (np.arange(-n_half, n_half) + 0.5) * h
     x, y = np.meshgrid(offsets, offsets)

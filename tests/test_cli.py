@@ -16,6 +16,16 @@ SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 EXAMPLE_SUITE = SCRIPTS / "example_suite.json"
 # stdout of `detperm verify --suite scripts/example_suite.json --seed 4`
 EXAMPLE_VERIFY_OUTPUT = Path(__file__).resolve().parent / "data" / "verify_example_seed4.jsonl"
+# a weighted complex kernel with eigenvalues within 1e-4 of 0.9, 0.6, 0.3, 0.15, 0.05
+GOLDEN_KERNEL = {"ground": {"labels": [0, 1, 2, 3, 4], "weights": [0.5, 1.25, 0.75, 1.0, 1.5]},
+                 "matrix": [
+    [[0.7489, 0.0], [-0.0999, 0.061], [-0.1709, 0.0431], [-0.1009, 0.0678], [-0.0022, 0.0541]],
+    [[-0.0999, -0.061], [0.4348, 0.0], [-0.0408, -0.0712], [-0.1786, 0.0495], [-0.1388, -0.1912]],
+    [[-0.1709, -0.0431], [-0.0408, 0.0712], [0.4901, 0.0], [0.2187, -0.0152], [0.0275, -0.0287]],
+    [[-0.1009, -0.0678], [-0.1786, -0.0495], [0.2187, 0.0152], [0.3612, 0.0], [-0.0183, 0.0708]],
+    [[-0.0022, -0.0541], [-0.1388, 0.1912], [0.0275, 0.0287], [-0.0183, -0.0708], [0.2356, 0.0]]]}
+# stdout of `detperm <key> --kernel <GOLDEN_KERNEL file>` for each key
+GOLDEN_KINDS_OUTPUT = Path(__file__).resolve().parent / "data" / "kinds_golden_kernel.json"
 
 
 @pytest.fixture
@@ -33,6 +43,13 @@ def projection_file(tmp_path):
     kernel = projection_from_rank(dp.GroundSet.uniform(4), 2, rng)
     path = tmp_path / "projection.json"
     kernel.save(path)
+    return str(path)
+
+
+@pytest.fixture
+def golden_kernel_file(tmp_path):
+    path = tmp_path / "golden.json"
+    path.write_text(json.dumps(GOLDEN_KERNEL))
     return str(path)
 
 
@@ -184,6 +201,24 @@ class TestCountsCommand:
         assert abs(sum(law["pmf"]) + law["tail_bound"] - 1.0) < 1e-9
 
 
+class TestProcessKinds:
+    """The kinds dpp and perm are the alpha-determinantal process at alpha = -1 and +1."""
+
+    def test_outputs_are_pinned(self, golden_kernel_file, capsys):
+        for args, expected in json.loads(GOLDEN_KINDS_OUTPUT.read_text()).items():
+            assert main(args.split() + ["--kernel", golden_kernel_file]) == 0, args
+            assert capsys.readouterr().out == expected, args
+
+    @pytest.mark.parametrize("kind,alpha", [("dpp", "-1"), ("perm", "1")])
+    def test_alpha_minus_and_plus_one_draw_the_kind_stream(self, kind, alpha,
+                                                           golden_kernel_file, capsys):
+        tail = ["--kernel", golden_kernel_file, "--count", "20", "--seed", "8"]
+        assert main(["sample", kind] + tail) == 0
+        expected = capsys.readouterr().out
+        assert main(["sample", "alpha", "--alpha", alpha] + tail) == 0
+        assert capsys.readouterr().out == expected
+
+
 class TestRadialCommand:
     def test_sample(self, spec_file, capsys):
         assert main(
@@ -212,15 +247,22 @@ class TestRadialCommand:
         assert kinds <= {"poisson", "determinantal", "permanental"}
         assert "determinantal" in kinds
 
-    @pytest.mark.parametrize("terms,a2", [
-        pytest.param([{"k": 1.5, "lambda": 1.0}], "auto", id="fractional-degree"),
-        pytest.param([{"k": True, "lambda": 1.0}], "auto", id="boolean-degree"),
-        pytest.param([{"k": 0, "lambda": 1.0}, {"k": 1, "lambda": 1.0}], [1.0], id="short-a2"),
-        pytest.param([{"k": 400, "lambda": 1.0}], "auto", id="overflowing-normalizer")])
-    def test_malformed_spec_exits_two(self, tmp_path, capsys, terms, a2):
+    @pytest.mark.parametrize("terms,a2,action", [
+        pytest.param([{"k": 1.5, "lambda": 1.0}], "auto", ["sample"], id="fractional-degree"),
+        pytest.param([{"k": True, "lambda": 1.0}], "auto", ["sample"], id="boolean-degree"),
+        pytest.param([{"k": 0, "lambda": 1.0}, {"k": 1, "lambda": 1.0}], [1.0], ["sample"],
+                     id="short-a2"),
+        pytest.param([{"k": 400, "lambda": 1.0}], "auto", ["sample"],
+                     id="overflowing-normalizer"),
+        pytest.param([{"k": 0, "lambda": None}], "auto", ["sample"], id="null-lambda"),
+        pytest.param([{"k": 0, "lambda": 1.0}], [None], ["sample"], id="null-a2"),
+        pytest.param({"k": 0, "lambda": 1.0}, "auto", ["sample"], id="terms-not-a-list"),
+        pytest.param([{"k": 0, "lambda": 1.0}], "auto", ["cloud", "--radius", "inf"],
+                     id="infinite-radius")])
+    def test_malformed_spec_exits_two(self, tmp_path, capsys, terms, a2, action):
         path = tmp_path / "spec.json"
         path.write_text(json.dumps({"terms": terms, "base": "gaussian", "a2": a2}))
-        assert main(["radial", "sample", "--spec", str(path), "--seed", "9"]) == 2
+        assert main(["radial", *action, "--spec", str(path), "--seed", "9"]) == 2
         assert capsys.readouterr().out == ""
 
 
@@ -320,17 +362,23 @@ class TestVerifyCommand:
     @pytest.mark.parametrize("check", [
         {"type": "kostlan", "n": 2, "samples": 0}, {"type": "gaf", "n": 2, "samples": 0},
         {"type": "clt", "binomial_levels": {"p": 0.5, "sizes": [4, 8, 16]}, "samples": 0},
-        {"type": "kostlan", "n": 0}, {"type": "gaf", "n": -2}, {"type": "kostlan", "n": True}])
-    def test_malformed_check_parameter_exits_two(self, tmp_path, capsys, check):
+        {"type": "kostlan", "n": 0}, {"type": "gaf", "n": -2}, {"type": "kostlan", "n": True},
+        {"type": "perm_count_law", "kernel": "kernel.json", "nmax": 1.5},
+        {"type": "clt", "binomial_levels": {"p": 0.5, "sizes": [4, 8.5, 16]}}])
+    def test_malformed_check_parameter_exits_two(self, tmp_path, monkeypatch, capsys, check):
         # exit 1 means a check failed; a suite that cannot run is malformed input
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "kernel.json").write_text(json.dumps({"matrix_real": [[0.5]]}))
         suite = tmp_path / "suite.json"
         suite.write_text(json.dumps({"checks": [check]}))
         assert main(["verify", "--suite", str(suite), "--seed", "4"]) == 2
         assert "must be an integer >= 1" in capsys.readouterr().err
 
-    def test_malformed_suite_exits_two(self, tmp_path):
+    @pytest.mark.parametrize("text", ["{not json", "[]", '{"checks": [7]}'],
+                             ids=["not-json", "suite-not-an-object", "check-not-an-object"])
+    def test_malformed_suite_exits_two(self, tmp_path, text):
         suite = tmp_path / "broken.json"
-        suite.write_text("{not json")
+        suite.write_text(text)
         assert main(["verify", "--suite", str(suite), "--seed", "4"]) == 2
 
 

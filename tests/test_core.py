@@ -11,6 +11,7 @@ from detperm.core import (
     DegenerateDistributionError,
     InvalidEigenvalueError,
     ParameterError,
+    require_real,
     sample_poisson_array,
 )
 
@@ -246,3 +247,15 @@ class TestCountDistribution:
             dp.CountDistribution(np.array([0.5, 0.4]))  # mass missing, no tail
         law = dp.CountDistribution(np.array([0.5, 0.4]), tail_bound=0.1)
         assert law.n_max == 1
+
+
+class TestRequireReal:
+    @pytest.mark.parametrize("value", [0, -2, 0.5, 1e300])
+    def test_finite_real_is_a_float(self, value):
+        assert require_real(value, "x") == value
+        assert type(require_real(value, "x")) is float
+
+    @pytest.mark.parametrize("value", [None, True, "0.5", [0.5], math.inf, math.nan])
+    def test_anything_else_is_rejected(self, value):
+        with pytest.raises(ParameterError, match="x must be a finite real number"):
+            require_real(value, "x")

@@ -308,3 +308,10 @@ class TestRunSuite:
     def test_empty_suite_rejected(self):
         with pytest.raises(dp.DetpermError):
             run_suite({"checks": []}, seed=0)
+
+    @pytest.mark.parametrize("levels", [{"p": None, "sizes": [4, 8, 16]},
+                                        {"p": "0.5", "sizes": [4, 8, 16]},
+                                        {"p": 0.5, "sizes": [4, 8.5, 16]}])
+    def test_binomial_levels_are_checked(self, levels):
+        with pytest.raises(ParameterError):
+            run_suite({"checks": [{"type": "clt", "binomial_levels": levels}]}, seed=0)

@@ -223,11 +223,11 @@ class TestJointIntensity:
             ground = dp.GroundSet.uniform(4)
             k = kernel_from_spectrum(ground, rng.uniform(0, 2, size=4), rng)
             pts = rng.integers(0, 4, size=int(rng.integers(1, 6))).tolist()
-            assert dp.joint_intensity(k, pts, kind="permanental") >= -1e-9
+            assert dp.joint_intensity(k, pts, alpha=1.0) >= -1e-9
 
     def test_alpha_kind(self, rng):
         k = dp.HermitianKernel(WITNESS_MATRIX.astype(complex), dp.GroundSet.uniform(3))
-        value = dp.joint_intensity(k, [0, 1, 2], kind="alpha", alpha=5.0)
+        value = dp.joint_intensity(k, [0, 1, 2], alpha=5.0)
         assert abs(value + 12.0) < 1e-10
 
 
@@ -281,6 +281,13 @@ class TestKernelJson:
         np.testing.assert_array_equal(k.matrix, [[1.0, 0.5], [0.5, 1.0]])
         assert k.ground.labels == (0, 1)
         np.testing.assert_allclose(k.ground.weights, [1.0, 1.0])
+
+    @pytest.mark.parametrize("entry", [[0.5, 0.0, 9.0], ["0.5", "0"], [None, 0.0]],
+                             ids=["three-numbers", "strings", "null"])
+    def test_entry_that_is_not_a_number_pair_is_error(self, entry):
+        # a third number was once dropped silently
+        with pytest.raises(dp.DetpermError, match=r"\[re, im\] number pairs"):
+            dp.HermitianKernel.from_json({"matrix": [[entry]]})
 
     def test_missing_matrix_is_error(self):
         with pytest.raises(dp.DetpermError, match="'matrix' or 'matrix_real'"):
@@ -337,9 +344,9 @@ class TestFactoredKernel:
             assert_spectra_agree(dp.spectrum(dp.restrict(dense, subset)),
                                  dp.spectrum(dp.restrict(factored, subset)))
         for points in ([3], [0, 5], [1, 1], [2, 4, 0]):
-            for kind in ("determinantal", "permanental"):
-                assert abs(dp.joint_intensity(factored, points, kind)
-                           - dp.joint_intensity(dense, points, kind)) < 1e-12
+            for alpha in (-1.0, 1.0):
+                assert abs(dp.joint_intensity(factored, points, alpha)
+                           - dp.joint_intensity(dense, points, alpha)) < 1e-12
 
     @pytest.mark.parametrize("weights, build, arg", [
         ((1.0, 1.0, 1.0), kernel_from_spectrum, [0.2, 0.5, 0.9]),

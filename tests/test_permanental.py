@@ -177,7 +177,7 @@ class TestIntensityIdentities:
                 counts[atom] += c
             cross.append(mult.get(0, 0) * mult.get(1, 0))
         for x in range(3):
-            predicted = dp.joint_intensity(kernel, [x], kind="permanental") * w[x]
+            predicted = dp.joint_intensity(kernel, [x], alpha=1.0) * w[x]
             mean = counts[x] / N_SAMPLES
             se = math.sqrt((predicted * (1 + 2 * predicted)) / N_SAMPLES) + 1e-9
             assert abs(mean - predicted) < 5 * se
@@ -193,7 +193,7 @@ class TestIntensityIdentities:
         kernel, _ = dp.discretize_radial_kernel(dp.ginibre_spec(2), 0.4, 2.5)
         x = kernel.size // 2
         kxx = kernel.matrix[x, x].real
-        rho2 = dp.joint_intensity(kernel, [x, x], kind="permanental")
+        rho2 = dp.joint_intensity(kernel, [x, x], alpha=1.0)
         assert abs(rho2 - 2 * kxx**2) < 1e-12
         assert rho2 > kxx**2  # clumping beats the independent benchmark
 

@@ -227,7 +227,7 @@ class TestDiscretization:
         dp.count_pmf(kernel, disk)
         dp.count_pmf_perm(kernel, disk, 40)
         dp.joint_intensity(kernel, disk[:3])
-        dp.joint_intensity(kernel, [disk[0], disk[0]], kind="permanental")
+        dp.joint_intensity(kernel, [disk[0], disk[0]], alpha=1.0)
         assert dense_reads == []
         assert eigh_orders and max(eigh_orders) <= 3
 
