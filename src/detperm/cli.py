@@ -121,11 +121,8 @@ def _cmd_radial(args):
     if args.action == "lambdas":
         if not args.annuli:
             raise DetpermError("'lambdas' requires --annuli like 0:1,1:2")
-        annuli = []
-        for chunk in args.annuli.split(","):
-            lo, hi = chunk.split(":")
-            annuli.append((float(lo), float(hi)))
-        matrix = planar.annuli_lambdas(spec, annuli)
+        # annuli_lambdas reads each "lo:hi" pair as two floats
+        matrix = planar.annuli_lambdas(spec, [c.split(":") for c in args.annuli.split(",")])
         _dump({"lambdas": [list(row) for row in matrix]}, sys.stdout)
         return 0
     rng = stream(args.seed)
@@ -155,11 +152,9 @@ def _cmd_verify(args):
     with open(args.suite) as fh:
         suite = json.load(fh)
     reports = run_suite(suite, args.seed)
-    failed = 0
     for report in reports:
         _dump(report.to_json(), sys.stdout)
-        failed += not report.passed
-    return 1 if failed else 0
+    return 0 if all(report.passed for report in reports) else 1
 
 
 def build_parser():

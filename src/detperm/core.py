@@ -138,18 +138,23 @@ def split(rng, n):
     return list(rng.spawn(int(n)))
 
 
-def sample_categorical(weights, rng):
-    """Draw an index with probability proportional to ``weights[i]``."""
+def sample_categorical(weights, rng, size=None):
+    """Draw an index with probability proportional to ``weights[i]``, or with
+    ``size`` an array of them, one uniform each: a block of n is n scalar draws."""
     w = np.asarray(weights, dtype=float)
     if w.size == 0 or not np.all(w >= 0):
         raise DegenerateDistributionError("weights must be non-negative and non-empty")
     total = w.sum()
     if not 0 < total < math.inf:
         raise DegenerateDistributionError(f"categorical weights sum to {total!r}")
-    i = int(np.searchsorted(np.cumsum(w), rng.random() * total, side="right"))
     # The pairwise sum can exceed the last cumulative sum by rounding; a
     # draw past it belongs to the last atom of positive weight.
-    return i if i < w.size else int(np.flatnonzero(w)[-1])
+    if size is None:
+        i = int(np.searchsorted(np.cumsum(w), rng.random() * total, side="right"))
+        return i if i < w.size else int(np.flatnonzero(w)[-1])
+    i = np.searchsorted(np.cumsum(w), rng.random(size) * total, side="right")
+    i[i == w.size] = np.flatnonzero(w)[-1]
+    return i
 
 
 def sample_poisson_array(means, rng):

@@ -167,15 +167,12 @@ def ks_distance(samples, cdf):
 # goodness-of-fit tests
 
 
-def counts_from_values(values, n_bins=None):
+def counts_from_values(values):
     """Tabulate non-negative integer draws into a counts array."""
     v = np.asarray(values, dtype=np.int64)
     if v.size and v.min() < 0:
         raise DetpermError("values must be non-negative integers")
-    length = int(v.max()) + 1 if v.size else 1
-    if n_bins is not None:
-        length = max(length, n_bins)
-    return np.bincount(v, minlength=length)
+    return np.bincount(v, minlength=1)
 
 
 def _merge_low_bins(observed, expected):
@@ -266,14 +263,10 @@ def clt_check(lambda_sequences, samples_per_level, rng):
     band = math.sqrt(math.log(2 / level_significance) / (2 * samples_per_level))
     ks_stats, ks_bounds, chi_square_p, failed = [], [], [], []
     for level, (lams, mu, var) in enumerate(zip(seqs, means, variances)):
-        counts = np.empty(samples_per_level, dtype=np.int64)
-        block = max(1, int(4_000_000 // max(len(lams), 1)))
-        done = 0
-        while done < samples_per_level:  # chunked to bound memory
-            take = min(block, samples_per_level - done)
-            u = rng.random((take, len(lams)))
-            counts[done : done + take] = (u < lams).sum(axis=1)
-            done += take
+        rows = max(1, 2**18 // max(len(lams), 1))  # bounds the uniforms held at once
+        counts = np.concatenate([
+            (rng.random((min(rows, samples_per_level - i), len(lams))) < lams).sum(axis=1)
+            for i in range(0, samples_per_level, rows)])
         z = (counts - mu) / math.sqrt(var)
         ks_stats.append(ks_distance(z, normal_cdf))
         rho = float((lams * (1 - lams) * (lams**2 + (1 - lams) ** 2)).sum())
@@ -313,11 +306,22 @@ def _positive(params, key, default=None):
     return require_int(params.get(key, default), f"check parameter {key!r}", 1)
 
 
-def _subset_count_fit(draw, subset, law, params, rng, description):
-    """Chi-square of the number of drawn points in ``subset`` against its
-    exact count law, over ``params["samples"]`` draws of ``draw(rng)``."""
+def _list(value, name, read):
+    """``read(entry, f"{name}[i]")`` of each entry i of the list ``value``."""
+    if not isinstance(value, list):
+        raise ParameterError(f"{name} must be a list, got {value!r}")
+    return [read(entry, f"{name}[{i}]") for i, entry in enumerate(value)]
+
+
+def _subset_count_fit(draw, law, default_subset, params, rng, description):
+    """Chi-square of the number of drawn points in ``params["subset"]``, by
+    default ``default_subset``, against its exact count law ``law(subset)``,
+    over ``params["samples"]`` draws of ``draw(rng)``."""
+    subset = _list(params.get("subset", default_subset), "check parameter 'subset'",
+                   functools.partial(require_int, minimum=0))
+    law = law(subset)
     n = _positive(params, "samples", 20000)
-    sub = set(int(i) for i in subset)
+    sub = set(subset)
     counts = [sum(1 for p in draw(rng) if p in sub) for _ in range(n)]
     return [chi_square_fit(counts_from_values(counts), law.pmf, tail_bound=law.tail_bound,
                            description=description)]
@@ -328,58 +332,53 @@ def _check_count_law(alpha, params, rng):
     (alpha = +1) process against ``count_pmf`` at that alpha."""
     n_max = _positive(params, "nmax", 80) if alpha > 0 else None
     kernel = HermitianKernel.load(params["kernel"])
-    subset = params.get("subset", list(range(kernel.size)))
     description = ("determinantal subset counts vs Bernoulli convolution" if alpha < 0
                    else "permanental subset counts vs geometric convolution")
-    return _subset_count_fit(lambda r: sample_alpha(kernel, alpha, r).points, subset,
-                             count_pmf(kernel, subset, alpha, n_max), params, rng, description)
+    return _subset_count_fit(lambda r: sample_alpha(kernel, alpha, r).points,
+                             lambda subset: count_pmf(kernel, subset, alpha, n_max),
+                             list(range(kernel.size)), params, rng, description)
 
 
 def _check_categorical(params, rng):
-    w = np.asarray(params["weights"], dtype=float)
+    w = np.array(_list(params["weights"], "check parameter 'weights'", require_real))
     n = _positive(params, "samples", 100000)
-    draws = [sample_categorical(w, rng) for _ in range(n)]
-    return [chi_square_fit(counts_from_values(draws, n_bins=len(w)), w / w.sum(),
+    draws = sample_categorical(w, rng, size=n)
+    return [chi_square_fit(np.bincount(draws, minlength=len(w)), w / w.sum(),
                            description="categorical sampler frequencies")]
 
 
-def _moduli_fits(spec, describe, params, rng):
+def _check_moduli(make_spec, describe, params, rng):
     """KS fit of each term's squared modulus, over ``params["samples"]``
-    draws, against the term's law in the spec's radial base;
-    ``describe(k)`` gives the description for term k."""
+    draws of ``make_spec(params["n"])``, against the term's law in the
+    spec's radial base; ``describe(k)`` gives the description for term k."""
+    spec = make_spec(_positive(params, "n"))
     n_samples = _positive(params, "samples", 100000)
-    draws = np.array([sample_radial_moduli(spec, rng) for _ in range(n_samples)])
+    draws = sample_radial_moduli(spec, rng, size=n_samples)
     cdf_q = base_density(spec.base).cdf_q
     return [ks_fit(draws[:, k], functools.partial(cdf_q, t.degree), description=describe(k))
             for k, t in enumerate(spec.terms)]
 
 
-def _check_kostlan(params, rng):
-    return _moduli_fits(ginibre_spec(_positive(params, "n")),
-                        lambda k: f"modulus^2 #{k + 1} vs gamma({k + 1}, 1)", params, rng)
-
-
-def _check_gaf(params, rng):
-    return _moduli_fits(bergman_spec(_positive(params, "n")),
-                        lambda k: f"modulus^2 term {k} vs beta({k + 1}, 1)", params, rng)
-
-
 def _check_clt(params, rng):
     if "binomial_levels" in params:
         spec = params["binomial_levels"]
+        if not isinstance(spec, dict):
+            raise ParameterError(f"'binomial_levels' must be an object, got {spec!r}")
         p = require_real(spec["p"], "binomial_levels p")
-        levels = [[p] * require_int(size, "binomial_levels size", 1) for size in spec["sizes"]]
+        levels = [[p] * size for size in _list(spec["sizes"], "binomial_levels sizes",
+                                               functools.partial(require_int, minimum=1))]
     else:
-        levels = params["levels"]
+        levels = _list(params["levels"], "check parameter 'levels'",
+                       functools.partial(_list, read=require_real))
     n = _positive(params, "samples", 20000)
     return [clt_check(levels, n, rng)]
 
 
 def _check_ust_subset_counts(params, rng):
     graph = Graph.load(params["graph"])
-    subset = params.get("subset", list(range((graph.n_edges + 1) // 2)))
-    law = count_pmf(transfer_current_kernel(graph), subset)
-    return _subset_count_fit(lambda r: sample_ust(graph, r), subset, law, params, rng,
+    return _subset_count_fit(lambda r: sample_ust(graph, r),
+                             lambda subset: count_pmf(transfer_current_kernel(graph), subset),
+                             list(range((graph.n_edges + 1) // 2)), params, rng,
                              "spanning tree edge counts vs restricted-kernel law")
 
 
@@ -387,8 +386,10 @@ _CHECKS = {
     "dpp_count_law": functools.partial(_check_count_law, -1.0),
     "perm_count_law": functools.partial(_check_count_law, 1.0),
     "categorical": _check_categorical,
-    "kostlan": _check_kostlan,
-    "gaf": _check_gaf,
+    "kostlan": functools.partial(_check_moduli, ginibre_spec,
+                                 lambda k: f"modulus^2 #{k + 1} vs gamma({k + 1}, 1)"),
+    "gaf": functools.partial(_check_moduli, bergman_spec,
+                             lambda k: f"modulus^2 term {k} vs beta({k + 1}, 1)"),
     "clt": _check_clt,
     "ust_subset_counts": _check_ust_subset_counts,
 }

@@ -126,7 +126,10 @@ class HermitianKernel:
         real shorthand ``{"matrix_real": [[...]]}``.  A missing ground
         defaults to indices 0..n-1 with unit weights."""
         if "matrix_real" in obj:
-            matrix = np.asarray(obj["matrix_real"], dtype=float).astype(complex)
+            real = np.asarray(obj["matrix_real"])
+            if real.dtype.kind not in "iuf":
+                raise DetpermError(f"'matrix_real' must hold numbers, got {real.dtype} entries")
+            matrix = real.astype(complex)
         elif "matrix" in obj:
             pairs = np.asarray(obj["matrix"])
             if pairs.dtype.kind not in "iuf" or pairs.ndim != 3 or pairs.shape[2] != 2:

@@ -53,8 +53,8 @@ class _GaussianBase:
         return math.gamma(k + 1)
 
     @staticmethod
-    def sample_q(k, rng):
-        return float(rng.gamma(k + 1))
+    def sample_q(k, rng, size=None):
+        return rng.gamma(k + 1, size=size)
 
     @staticmethod
     def cdf_q(k, q):
@@ -78,8 +78,8 @@ class _LebesgueDiskBase:
         return 1.0 / (k + 1)
 
     @staticmethod
-    def sample_q(k, rng):
-        return float(rng.random() ** (1.0 / (k + 1)))
+    def sample_q(k, rng, size=None):
+        return rng.random(size) ** (1.0 / (k + 1))
 
     @staticmethod
     def cdf_q(k, q):
@@ -145,8 +145,8 @@ class RadialKernelSpec:
     def from_json(obj):
         b = base_density(obj["base"])
         raw_terms = obj["terms"]
-        if not isinstance(raw_terms, list):
-            raise ParameterError(f"'terms' must be a list, got {raw_terms!r}")
+        if not isinstance(raw_terms, list) or not all(isinstance(t, dict) for t in raw_terms):
+            raise ParameterError(f"'terms' must be a list of objects, got {raw_terms!r}")
         degrees = [require_int(t["k"], "term degree k", 0) for t in raw_terms]
         try:
             moments = [b.moment(k) for k in degrees]
@@ -183,17 +183,20 @@ def bergman_spec(n):
     )
 
 
-def sample_radial_moduli(spec, rng):
+def sample_radial_moduli(spec, rng, size=None):
     """Draw the squared moduli of one sample: term k contributes, with
     probability lambda_k, an independent draw of the k-times size-biased
-    squared-modulus law.  Returned in term order (no distributional
-    meaning attaches to the order)."""
+    squared-modulus law, in term order (no distributional meaning attaches
+    to it).  With ``size``, draw that many samples term by term (a term's
+    inclusion coins, then its kept moduli) into a (size, terms) array with
+    NaN where a term was left out."""
     b = base_density(spec.base)
-    out = []
-    for t in spec.terms:
-        include = rng.random() < t.weight
-        if include:
-            out.append(b.sample_q(t.degree, rng))
+    if size is None:
+        return [b.sample_q(t.degree, rng) for t in spec.terms if rng.random() < t.weight]
+    out = np.full((size, len(spec.terms)), np.nan)
+    for j, t in enumerate(spec.terms):
+        kept = rng.random(size) < t.weight
+        out[kept, j] = b.sample_q(t.degree, rng, int(kept.sum()))
     return out
 
 
@@ -208,15 +211,8 @@ def annuli_lambdas(spec, annuli):
     for (lo1, hi1), (lo2, hi2) in zip(sorted(pairs), sorted(pairs)[1:]):
         if lo2 < hi1:
             raise DetpermError("annuli overlap")
-    rows = []
-    for t in spec.terms:
-        rows.append(
-            [
-                t.weight * (b.cdf_q(t.degree, hi * hi) - b.cdf_q(t.degree, lo * lo))
-                for lo, hi in pairs
-            ]
-        )
-    return np.array(rows)
+    return np.array([[t.weight * (b.cdf_q(t.degree, hi * hi) - b.cdf_q(t.degree, lo * lo))
+                      for lo, hi in pairs] for t in spec.terms])
 
 
 def square_grid(h, radius):

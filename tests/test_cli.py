@@ -164,6 +164,15 @@ class TestSampleCommand:
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 2
 
+    def test_string_real_kernel_exits_two(self, tmp_path, capsys):
+        # "0.5" was once parsed as a number and sampled
+        path = tmp_path / "strings.json"
+        path.write_text(json.dumps({"matrix_real": [["0.5"]]}))
+        assert main(["sample", "dpp", "--kernel", str(path), "--seed", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "'matrix_real' must hold numbers" in captured.err
+
 
 class TestCountsCommand:
     def test_dpp_counts(self, kernel_file, capsys):
@@ -257,6 +266,7 @@ class TestRadialCommand:
         pytest.param([{"k": 0, "lambda": None}], "auto", ["sample"], id="null-lambda"),
         pytest.param([{"k": 0, "lambda": 1.0}], [None], ["sample"], id="null-a2"),
         pytest.param({"k": 0, "lambda": 1.0}, "auto", ["sample"], id="terms-not-a-list"),
+        pytest.param([5], "auto", ["sample"], id="term-not-an-object"),
         pytest.param([{"k": 0, "lambda": 1.0}], "auto", ["cloud", "--radius", "inf"],
                      id="infinite-radius")])
     def test_malformed_spec_exits_two(self, tmp_path, capsys, terms, a2, action):
@@ -310,8 +320,13 @@ class TestVerifyCommand:
         from detperm import harness
 
         draw = harness.sample_categorical
-        monkeypatch.setattr(harness, "sample_categorical",
-                            lambda w, rng: 0 if rng.random() < 0.1 else draw(w, rng))
+
+        def mutated(w, rng, size=None):
+            draws = draw(w, rng, size=size)
+            draws[rng.random(size) < 0.1] = 0
+            return draws
+
+        monkeypatch.setattr(harness, "sample_categorical", mutated)
         suite = tmp_path / "suite.json"
         suite.write_text(
             json.dumps(
@@ -373,6 +388,33 @@ class TestVerifyCommand:
         suite.write_text(json.dumps({"checks": [check]}))
         assert main(["verify", "--suite", str(suite), "--seed", "4"]) == 2
         assert "must be an integer >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("check", [
+        pytest.param({"type": "clt", "binomial_levels": [0.5]}, id="binomial-levels-a-list"),
+        pytest.param({"type": "clt", "binomial_levels": {"p": 0.5, "sizes": 5}},
+                     id="binomial-sizes-a-number"),
+        pytest.param({"type": "clt", "levels": 5}, id="levels-a-number"),
+        pytest.param({"type": "clt", "levels": [[0.5], [0.5, 0.5], ["0.5", 0.5, 0.5]],
+                      "samples": 100}, id="level-entry-a-string"),
+        pytest.param({"type": "dpp_count_law", "kernel": "kernel.json", "subset": 3},
+                     id="subset-a-number"),
+        pytest.param({"type": "dpp_count_law", "kernel": "kernel.json", "subset": [0.7],
+                      "samples": 100}, id="subset-entry-fractional"),
+        pytest.param({"type": "categorical", "weights": 5, "samples": 100},
+                     id="weights-a-number"),
+        pytest.param({"type": "categorical", "weights": ["1", "2"], "samples": 100},
+                     id="weight-a-string")])
+    def test_malformed_nested_field_exits_two(self, tmp_path, monkeypatch, capsys, check):
+        # a field of the wrong JSON shape once ended in a TypeError traceback
+        # (exit 1) or was converted and run (exit 0)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "kernel.json").write_text(json.dumps({"matrix_real": [[0.5]]}))
+        suite = tmp_path / "suite.json"
+        suite.write_text(json.dumps({"checks": [check]}))
+        assert main(["verify", "--suite", str(suite), "--seed", "4"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
 
     @pytest.mark.parametrize("text", ["{not json", "[]", '{"checks": [7]}'],
                              ids=["not-json", "suite-not-an-object", "check-not-an-object"])

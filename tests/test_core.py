@@ -149,6 +149,35 @@ class TestCategorical:
         assert np.cumsum(w)[-1] < (1.0 - 2.0**-53) * w.sum()
         assert dp.sample_categorical(w, LargestUniform()) == 1000
 
+    @pytest.mark.parametrize("trailing_zeros", [0, 2])
+    def test_rounding_overshoot_in_a_block(self, trailing_zeros):
+        # the overshoot rule applies to each index of a block
+        class Uniforms:
+            def random(self, size):
+                u = np.full(size, 0.5)
+                u[1::2] = 1.0 - 2.0**-53
+                return u
+
+        w = np.array([1.0] + [1e-16] * 1000 + [0.0] * trailing_zeros)
+        draws = dp.sample_categorical(w, Uniforms(), size=5)
+        assert draws.tolist() == [0, 1000, 0, 1000, 0]
+
+    @given(
+        st.lists(st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=10.0)),
+                 min_size=1, max_size=12),
+        st.integers(min_value=1, max_value=300),
+        st.integers(min_value=0, max_value=2**32),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_block_equals_scalar_draws(self, weights, n, seed):
+        # one uniform per index, so a block is the scalar draws on the same stream
+        from hypothesis import assume
+
+        assume(sum(weights) > 0)
+        block = dp.sample_categorical(weights, dp.stream(seed), size=n)
+        rng = dp.stream(seed)
+        assert block.tolist() == [dp.sample_categorical(weights, rng) for _ in range(n)]
+
 
 class TestPoissonGeometric:
     def test_poisson_small_mean_chi_square(self, rng):

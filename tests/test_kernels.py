@@ -289,6 +289,12 @@ class TestKernelJson:
         with pytest.raises(dp.DetpermError, match=r"\[re, im\] number pairs"):
             dp.HermitianKernel.from_json({"matrix": [[entry]]})
 
+    @pytest.mark.parametrize("entry", ["0.5", None, True], ids=["string", "null", "boolean"])
+    def test_real_entry_that_is_not_a_number_is_error(self, entry):
+        # "0.5" and true were once read as 0.5 and 1.0
+        with pytest.raises(dp.DetpermError, match="'matrix_real' must hold numbers"):
+            dp.HermitianKernel.from_json({"matrix_real": [[entry]]})
+
     def test_missing_matrix_is_error(self):
         with pytest.raises(dp.DetpermError, match="'matrix' or 'matrix_real'"):
             dp.HermitianKernel.from_json({"ground": {"labels": [0], "weights": [1.0]}})

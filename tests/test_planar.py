@@ -107,6 +107,42 @@ class TestSampleRadialModuli:
         hits = sum(bool(dp.sample_radial_moduli(spec, rng)) for _ in range(n))
         assert abs(hits / n - 0.3) < 4 * math.sqrt(0.3 * 0.7 / n)
 
+    @staticmethod
+    def block_law_p_values(spec, n, rng):
+        """Per term of one block of n draws: the binomial p-value of the kept
+        count against Binomial(n, lambda_k), and the KS p-value of the kept
+        moduli against the term's law."""
+        draws = dp.sample_radial_moduli(spec, rng, size=n)
+        assert draws.shape == (n, len(spec.terms))
+        cdf_q = base_density(spec.base).cdf_q
+        p_values = []
+        for j, t in enumerate(spec.terms):
+            kept = draws[~np.isnan(draws[:, j]), j]
+            p_values.append(stats.binomtest(kept.size, n, t.weight).pvalue)
+            p_values.append(dp.ks_fit(kept, functools.partial(cdf_q, t.degree)).p_value)
+        return p_values
+
+    @staticmethod
+    def partial_spec(base):
+        lams = [0.3, 0.6, 0.9]
+        norm = [1.0, 1.0, 0.5] if base == "gaussian" else [1.0, 2.0, 3.0]
+        return dp.RadialKernelSpec(
+            tuple(dp.RadialTerm(k, lam, a2) for k, (lam, a2) in enumerate(zip(lams, norm))), base)
+
+    @pytest.mark.parametrize("base", ["gaussian", "lebesgue-disk"])
+    def test_block_law_with_partial_weights(self, base, rng):
+        p_values = self.block_law_p_values(self.partial_spec(base), 20000, rng)
+        assert min(p_values) > ALPHA / len(p_values), p_values
+
+    @pytest.mark.parametrize("base", ["gaussian", "lebesgue-disk"])
+    def test_block_law_fails_a_degree_shift(self, base, rng, monkeypatch):
+        # drawing each kept modulus from the law of degree k + 1 fails the KS half
+        draw = base_density(base).sample_q
+        monkeypatch.setattr(base_density(base), "sample_q",
+                            staticmethod(lambda k, r, size=None: draw(k + 1, r, size)))
+        p_values = self.block_law_p_values(self.partial_spec(base), 20000, rng)
+        assert min(p_values) <= ALPHA / len(p_values), p_values
+
 
 class TestModulusLaws:
     def test_gaussian_sized_biased_density_is_gamma(self):
