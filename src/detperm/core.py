@@ -147,12 +147,17 @@ def sample_categorical(weights, rng, size=None):
     total = w.sum()
     if not 0 < total < math.inf:
         raise DegenerateDistributionError(f"categorical weights sum to {total!r}")
-    # The pairwise sum can exceed the last cumulative sum by rounding; a
-    # draw past it belongs to the last atom of positive weight.
-    if size is None:
-        i = int(np.searchsorted(np.cumsum(w), rng.random() * total, side="right"))
-        return i if i < w.size else int(np.flatnonzero(w)[-1])
-    i = np.searchsorted(np.cumsum(w), rng.random(size) * total, side="right")
+    return _locate(w, w.cumsum(), (rng.random() if size is None else rng.random(size)) * total)
+
+
+def _locate(w, cum, u):
+    """The atoms whose intervals of the cumulative weights ``cum`` of ``w``
+    hold ``u``, a float or an array of them drawn on [0, total) for the
+    pairwise sum total of ``w``.  That sum can exceed cum[-1] by rounding;
+    a point past it belongs to the last atom of positive weight."""
+    i = cum.searchsorted(u, "right")
+    if isinstance(u, float):
+        return int(i) if i < w.size else int(np.flatnonzero(w)[-1])
     i[i == w.size] = np.flatnonzero(w)[-1]
     return i
 
@@ -221,10 +226,10 @@ class GroundSet:
 
     @staticmethod
     def from_json(obj):
-        return GroundSet(
-            tuple(_decode_label(x) for x in obj["labels"]),
-            np.asarray(obj["weights"], dtype=float),
-        )
+        weights = np.asarray(obj["weights"])
+        if weights.dtype.kind not in "iuf":
+            raise DetpermError(f"'weights' must hold numbers, got {weights.dtype} entries")
+        return GroundSet(tuple(_decode_label(x) for x in obj["labels"]), weights)
 
 
 @dataclass(frozen=True)

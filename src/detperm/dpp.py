@@ -16,9 +16,12 @@ The sampler keeps the residual diagonal d, the conditional intensity of
 every atom given the points drawn so far.  Each step picks an atom x with
 probability proportional to d, forms one new column of the Cholesky
 factor of V V* from row x of V, and subtracts its squared moduli from d:
-O(n r) per step and O(n r^2) per draw.  The same sampler draws random
-spanning trees (``ust``) and the determinantal copies of alpha-unions
-(``alphadet``).
+O(n r) per step and O(n r^2) per draw.  The pick reuses the mass sum that
+the trace check has just taken, with one uniform per step, so it is the
+index ``sample_categorical`` would draw on the same stream.  The sampler
+follows V's dtype: a real V, such as a spanning tree's, runs in real
+arithmetic.  The same sampler draws random spanning trees (``ust``) and
+the determinantal copies of alpha-unions (``alphadet``).
 
 Note that the Bernoulli indicators are an auxiliary construction: they are
 not a measurable function of the sampled configuration, so no API here
@@ -39,10 +42,10 @@ from .core import (
     NumericalDegeneracyError,
     ParameterError,
     PointConfiguration,
+    _locate,
     bernoulli_sum_pmf,
     clamp_unit_interval,
     geometric_sum_pmf,
-    sample_categorical,
     union_copies,
 )
 from .kernels import eigenvalues, restrict, spectrum, validate_determinantal
@@ -61,28 +64,30 @@ def sample_projection(spec, rng, keep=None):
     raises NumericalDegeneracyError.
     """
     v = spec.weighted if keep is None else spec.weighted[:, keep]
-    rank = v.shape[1]
-    d = (v.real**2 + v.imag**2).sum(axis=1)
+    n, rank = v.shape
+    real = not np.iscomplexobj(v)
+    d = (v * v if real else v.real**2 + v.imag**2).sum(axis=1)
     start = d.copy()
-    cols = np.empty((len(d), rank), dtype=complex)
+    cols = np.empty((rank, n), dtype=v.dtype)  # row k: column k of the factor
+    mass, cum = np.empty(n), np.empty(n)
     chosen = []
     for k in range(rank):
-        mass = np.maximum(d, 0.0)
+        np.maximum(d, 0.0, out=mass)
         total = mass.sum()
         if not abs(total - (rank - k)) <= TRACE_TOL * rank:
             raise NumericalDegeneracyError(
                 f"residual intensity {total!r} drifted from {rank - k} points to draw"
             )
-        x = sample_categorical(mass, rng)
+        x = _locate(mass, mass.cumsum(out=cum), rng.random() * total)
         pivot = d[x]
         if not pivot > PIVOT_TOL * start[x]:
             raise NumericalDegeneracyError(
                 f"pivot {pivot!r} at atom {x} cancelled below {PIVOT_TOL} of {start[x]!r}"
             )
-        c = v @ v[x].conj() - cols[:, :k] @ cols[x, :k].conj()
+        c = np.dot(v, v[x].conj(), out=cols[k])
+        c -= cols[:k, x].conj() @ cols[:k]
         c /= math.sqrt(pivot)
-        cols[:, k] = c
-        d -= c.real**2 + c.imag**2
+        d -= c * c if real else c.real**2 + c.imag**2
         d[x] = 0.0
         chosen.append(x)
     return PointConfiguration(tuple(chosen), simple=True)

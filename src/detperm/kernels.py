@@ -34,8 +34,14 @@ PERMANENT_CAP = 20  # Ryser is O(2^n n)
 ALPHA_DET_CAP = 9   # explicit S_n iteration
 
 
+def _real_or_complex(a):
+    """``a`` as a float array, or a complex one if it is complex."""
+    a = np.asarray(a)
+    return a.astype(complex if np.iscomplexobj(a) else float, copy=False)
+
+
 def _check_hermitian(matrix):
-    m = np.asarray(matrix, dtype=complex)
+    m = _real_or_complex(matrix)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DetpermError(f"kernel matrix must be square, got shape {m.shape}")
     scale = np.abs(m).max() if m.size else 0.0
@@ -70,8 +76,9 @@ class HermitianKernel:
     @staticmethod
     def from_factor(factor, coefficients, ground):
         """The kernel F diag(c) F*, Hermitian by construction: F must be
-        finite with one row per atom, c finite and real."""
-        f = np.asarray(factor, dtype=complex)
+        finite with one row per atom, c finite and real.  A real F is held
+        real, and without a copy if it is already float."""
+        f = _real_or_complex(factor)
         c = np.asarray(coefficients)
         if np.iscomplexobj(c):
             raise DetpermError("factor coefficients must be real")
@@ -129,7 +136,7 @@ class HermitianKernel:
             real = np.asarray(obj["matrix_real"])
             if real.dtype.kind not in "iuf":
                 raise DetpermError(f"'matrix_real' must hold numbers, got {real.dtype} entries")
-            matrix = real.astype(complex)
+            matrix = real
         elif "matrix" in obj:
             pairs = np.asarray(obj["matrix"])
             if pairs.dtype.kind not in "iuf" or pairs.ndim != 3 or pairs.shape[2] != 2:

@@ -8,10 +8,10 @@ of C^(1/2) B, with B the signed edge-vertex incidence matrix and C the
 conductances, and it has rank |V| - 1.
 
 Grounding one vertex leaves B with full column rank, so a thin QR of
-C^(1/2) B gives an orthonormal basis of that column space: the
+C^(1/2) B gives a real orthonormal basis of that column space: the
 eigenfunctions of the kernel, each with eigenvalue 1.  That spectrum is
-computed once per graph and cached on it; the kernel and the tree
-sampler both read it.  A tree is one draw of the chain-rule projection
+computed once per graph and cached on it; the kernel's factor is the same
+real Q, and the tree sampler runs on it in real arithmetic.  A tree is one draw of the chain-rule projection
 sampler of ``dpp`` on that spectrum, at O(|E| |V|^2) per tree and with
 no pseudoinverse.
 """
@@ -66,10 +66,9 @@ class Graph:
         b = _incidence(self.n_vertices, self._index_pairs())[:, 1:]
         q, _ = np.linalg.qr(np.sqrt(self.conductances)[:, None] * b)
         ground = GroundSet(self.edge_labels(), np.ones(self.n_edges))
-        spec = Spectrum(np.ones(q.shape[1]), q.astype(complex), ground)
-        # Held complex, so the kernel's factor shares Q instead of copying
-        # it, and checked now, at set-up, so no tree or count law pays for
-        # the check or allocates alongside its temporaries.
+        spec = Spectrum(np.ones(q.shape[1]), q, ground)
+        # Checked now, at set-up, so no tree or count law pays for the check
+        # or allocates alongside its temporaries.
         spec.weighted
         return spec
 

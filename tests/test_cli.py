@@ -26,6 +26,10 @@ GOLDEN_KERNEL = {"ground": {"labels": [0, 1, 2, 3, 4], "weights": [0.5, 1.25, 0.
     [[-0.0022, -0.0541], [-0.1388, 0.1912], [0.0275, 0.0287], [-0.0183, -0.0708], [0.2356, 0.0]]]}
 # stdout of `detperm <key> --kernel <GOLDEN_KERNEL file>` for each key
 GOLDEN_KINDS_OUTPUT = Path(__file__).resolve().parent / "data" / "kinds_golden_kernel.json"
+# a 3 x 4 grid with non-unit conductances, and the stdout of
+# `detperm ust sample --graph <it> --count 200 --seed 3`
+GOLDEN_GRID = Path(__file__).resolve().parent / "data" / "ust_grid_3x4.txt"
+GOLDEN_TREES = Path(__file__).resolve().parent / "data" / "ust_grid_3x4_seed3.txt"
 
 
 @pytest.fixture
@@ -173,6 +177,17 @@ class TestSampleCommand:
         assert captured.out == ""
         assert "'matrix_real' must hold numbers" in captured.err
 
+    @pytest.mark.parametrize("weight", ["2", None, True], ids=["string", "null", "boolean"])
+    def test_non_numeric_ground_weight_exits_two(self, weight, tmp_path, capsys):
+        # "2" was once parsed as a number and sampled with weight 2.0
+        path = tmp_path / "weights.json"
+        path.write_text(json.dumps({"ground": {"labels": [0], "weights": [weight]},
+                                    "matrix_real": [[0.5]]}))
+        assert main(["sample", "dpp", "--kernel", str(path), "--seed", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "'weights' must hold numbers" in captured.err
+
 
 class TestCountsCommand:
     def test_dpp_counts(self, kernel_file, capsys):
@@ -292,6 +307,11 @@ class TestUstCommand:
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 4
         assert all(len(line.split()) == 3 for line in lines)
+
+    def test_tree_stream_is_pinned(self, capsys):
+        argv = ["ust", "sample", "--graph", str(GOLDEN_GRID), "--count", "200", "--seed", "3"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == GOLDEN_TREES.read_text()
 
     def test_non_finite_conductance_exits_two(self, tmp_path, capsys):
         path = tmp_path / "inf.txt"

@@ -3,10 +3,15 @@ import itertools
 import math
 from collections import Counter
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import detperm as dp
+from detperm import dpp
 from detperm.core import KernelValidationError, NumericalDegeneracyError
 
 from conftest import (
@@ -33,6 +38,19 @@ def rank2_spec(four_point_ground, rng):
     return projection_spectrum(projection_from_rank(four_point_ground, 2, rng))
 
 
+@pytest.fixture(params=["complex", "real"])
+def weighted_rank2_spec(request, four_point_ground, rng):
+    """rank2_spec, or a rank-2 projection spectrum with real eigenfunctions:
+    the thin QR of W^(1/2) times real normal columns, un-weighted."""
+    if request.param == "complex":
+        return projection_spectrum(projection_from_rank(four_point_ground, 2, rng))
+    s = np.sqrt(four_point_ground.weights)
+    q, _ = np.linalg.qr(s[:, None] * rng.normal(size=(4, 2)))
+    spec = dp.Spectrum(np.ones(2), q / s[:, None], four_point_ground)
+    assert spec.weighted.dtype == np.float64
+    return spec
+
+
 def exact_subset_law(spec):
     """Probability of each r-subset: det of the kernel minor times the
     product of the weights (enumeration oracle)."""
@@ -56,17 +74,59 @@ class TestSampleProjection:
             config = dp.sample_projection(spec, rng)
             assert sorted(config.points) == [0, 1, 2, 3]
 
-    def test_exact_two_subset_law(self, rank2_spec, rng):
-        law = exact_subset_law(rank2_spec)
+    def test_exact_two_subset_law(self, weighted_rank2_spec, rng):
+        law = exact_subset_law(weighted_rank2_spec)
         assert abs(sum(law.values()) - 1.0) < 1e-10
         counts = Counter(
-            tuple(sorted(dp.sample_projection(rank2_spec, rng).points))
+            tuple(sorted(dp.sample_projection(weighted_rank2_spec, rng).points))
             for _ in range(N_SAMPLES)
         )
         observed = np.array([counts.get(s, 0) for s in law])
         expected = np.array([law[s] for s in law])
         report = dp.chi_square_fit(observed, expected)
         assert report.p_value > ALPHA, report
+
+    @given(st.integers(1, 3), st.integers(0, 3), st.integers(0, 3), st.booleans(),
+           st.integers(0, 2**32))
+    @settings(max_examples=100, deadline=None)
+    def test_each_pick_is_the_categorical_draw(self, rank, extra, zero_rows, complex_, seed):
+        # the sampler takes one uniform per step, so each pick is the
+        # scalar categorical draw on that step's mass and the same stream;
+        # atoms with no intensity and atoms already drawn have zero mass
+        gen = np.random.default_rng(seed)
+        a = gen.normal(size=(rank + extra + zero_rows, rank))
+        if complex_:
+            a = a + 1j * gen.normal(size=a.shape)
+        a[rank + extra:] = 0.0
+        q, _ = np.linalg.qr(a)
+        spec = dp.Spectrum(np.ones(rank), q, dp.GroundSet.uniform(len(q)))
+        masses, locate = [], dpp._locate
+
+        def spy(w, cum, u):
+            masses.append(w.copy())
+            return locate(w, cum, u)
+
+        with mock.patch.object(dpp, "_locate", spy):
+            points = dp.sample_projection(spec, dp.stream(seed)).points
+        replay = dp.stream(seed)
+        assert len(masses) == rank
+        assert list(points) == [dp.sample_categorical(m, replay) for m in masses]
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_rounding_overshoot_picks_the_last_positive_atom(self, dtype):
+        # the pairwise sum of this mass exceeds its last cumulative sum, so
+        # the largest uniform lands past it, as in sample_categorical
+        class LargestUniform:
+            def random(self):
+                return 1.0 - 2.0**-53
+
+        w = np.array([1.0] + [1e-16] * 1000 + [0.0, 0.0])
+        v = np.sqrt(w / w.sum()).astype(dtype)[:, None]
+        spec = dp.Spectrum(np.ones(1), v, dp.GroundSet.uniform(len(w)))
+        mass = (v.real**2 + v.imag**2)[:, 0]
+        assert np.cumsum(mass)[-1] < (1.0 - 2.0**-53) * mass.sum()
+        assert dp.sample_projection(spec, LargestUniform()).points == (1000,)
+        assert dp.sample_categorical(mass, LargestUniform()) == 1000
 
     def test_cardinality_always_exact(self, rank2_spec, rng):
         for _ in range(2000):

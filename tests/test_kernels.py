@@ -277,7 +277,7 @@ class TestKernelJson:
 
     def test_real_shorthand_and_default_ground(self):
         k = dp.HermitianKernel.from_json({"matrix_real": [[1.0, 0.5], [0.5, 1.0]]})
-        assert k.matrix.dtype == complex
+        assert k.matrix.dtype == float
         np.testing.assert_array_equal(k.matrix, [[1.0, 0.5], [0.5, 1.0]])
         assert k.ground.labels == (0, 1)
         np.testing.assert_allclose(k.ground.weights, [1.0, 1.0])

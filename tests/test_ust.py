@@ -123,6 +123,13 @@ class TestTransferCurrentKernel:
         expected = [1.0, (7 + math.sqrt(17)) / 16, (7 - math.sqrt(17)) / 16]
         np.testing.assert_allclose(eigs, expected, atol=1e-8)
 
+    def test_real_basis_shared_with_the_kernel(self, rng):
+        # a real incidence matrix gives a real Q, held once
+        g = grid_graph(4, rng)
+        assert g.tree_spectrum.weighted.dtype == np.float64
+        assert np.shares_memory(dp.transfer_current_kernel(g).factor,
+                                g.tree_spectrum.eigenvectors)
+
     @pytest.mark.parametrize("side", [3, 10])
     def test_grid_kernel_is_a_rank_v_minus_one_factor(self, side, rng, monkeypatch):
         g = grid_graph(side, rng)
