@@ -97,11 +97,13 @@ def require_int(value, name, minimum):
     return int(value)
 
 
-def require_real(value, name):
-    """``value`` as a float if it is a finite real number, not a bool;
-    otherwise ParameterError.  None, true and "0.5" are rejected."""
+def require_real(value, name, low=-math.inf, high=math.inf):
+    """``value`` as a float if it is a finite real number in [low, high], not
+    a bool; otherwise ParameterError.  None, true and "0.5" are rejected."""
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
         raise ParameterError(f"{name} must be a finite real number, got {value!r}")
+    if not low <= value <= high:
+        raise ParameterError(f"{name} must lie in [{low}, {high}], got {value!r}")
     return float(value)
 
 
@@ -185,6 +187,8 @@ def _encode_label(label):
 def _decode_label(obj):
     if isinstance(obj, list):
         return tuple(_decode_label(x) for x in obj)
+    if isinstance(obj, dict):
+        raise ParameterError(f"a label must be a number, a string or a list, got {obj!r}")
     return obj
 
 
@@ -226,6 +230,8 @@ class GroundSet:
 
     @staticmethod
     def from_json(obj):
+        if not isinstance(obj, dict) or not isinstance(obj.get("labels"), list):
+            raise ParameterError(f"'ground' must be an object with a 'labels' list, got {obj!r}")
         weights = np.asarray(obj["weights"])
         if weights.dtype.kind not in "iuf":
             raise DetpermError(f"'weights' must hold numbers, got {weights.dtype} entries")

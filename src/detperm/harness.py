@@ -240,8 +240,10 @@ def ks_fit(samples, cdf, significance=DEFAULT_SIGNIFICANCE,
 def clt_check(lambda_sequences, samples_per_level, rng):
     """Standardized-count normality across levels of growing variance.
 
-    Each level's counts are sampled as sums of independent Bernoulli
-    indicators and standardized with their exact mean and variance.  With
+    Each level's counts are sums of independent Bernoulli indicators,
+    standardized with their exact mean and variance: uniforms below the lambdas
+    that occur once, in row blocks of at most 2^18, then one Binomial(m, lambda)
+    per lambda that occurs m >= 2 times, in ascending lambda.  With
     L levels, each level is tested at significance DEFAULT_SIGNIFICANCE / L
     and must meet two conditions.  Its counts fit the exact Bernoulli
     convolution of its lambdas (chi-square).  Its KS distance to the
@@ -263,10 +265,14 @@ def clt_check(lambda_sequences, samples_per_level, rng):
     band = math.sqrt(math.log(2 / level_significance) / (2 * samples_per_level))
     ks_stats, ks_bounds, chi_square_p, failed = [], [], [], []
     for level, (lams, mu, var) in enumerate(zip(seqs, means, variances)):
-        rows = max(1, 2**18 // max(len(lams), 1))  # bounds the uniforms held at once
+        values, inverse, repeats = np.unique(lams, return_inverse=True, return_counts=True)
+        single = lams[repeats[inverse] == 1]
+        rows = max(1, 2**18 // max(single.size, 1))  # bounds the uniforms held at once
         counts = np.concatenate([
-            (rng.random((min(rows, samples_per_level - i), len(lams))) < lams).sum(axis=1)
+            (rng.random((min(rows, samples_per_level - i), single.size)) < single).sum(axis=1)
             for i in range(0, samples_per_level, rows)])
+        for lam, m in zip(values[repeats > 1], repeats[repeats > 1]):
+            counts += rng.binomial(m, lam, samples_per_level)
         z = (counts - mu) / math.sqrt(var)
         ks_stats.append(ks_distance(z, normal_cdf))
         rho = float((lams * (1 - lams) * (lams**2 + (1 - lams) ** 2)).sum())
@@ -306,6 +312,13 @@ def _positive(params, key, default=None):
     return require_int(params.get(key, default), f"check parameter {key!r}", 1)
 
 
+def _path(params, key):
+    """``params[key]`` if it is a string: an integer would open a file descriptor."""
+    if not isinstance(params[key], str):
+        raise ParameterError(f"check parameter {key!r} must be a path string, got {params[key]!r}")
+    return params[key]
+
+
 def _list(value, name, read):
     """``read(entry, f"{name}[i]")`` of each entry i of the list ``value``."""
     if not isinstance(value, list):
@@ -331,7 +344,7 @@ def _check_count_law(alpha, params, rng):
     """Subset counts of the determinantal (alpha = -1) or permanental
     (alpha = +1) process against ``count_pmf`` at that alpha."""
     n_max = _positive(params, "nmax", 80) if alpha > 0 else None
-    kernel = HermitianKernel.load(params["kernel"])
+    kernel = HermitianKernel.load(_path(params, "kernel"))
     description = ("determinantal subset counts vs Bernoulli convolution" if alpha < 0
                    else "permanental subset counts vs geometric convolution")
     return _subset_count_fit(lambda r: sample_alpha(kernel, alpha, r).points,
@@ -360,22 +373,23 @@ def _check_moduli(make_spec, describe, params, rng):
 
 
 def _check_clt(params, rng):
+    unit = functools.partial(require_real, low=0, high=1)
     if "binomial_levels" in params:
         spec = params["binomial_levels"]
         if not isinstance(spec, dict):
             raise ParameterError(f"'binomial_levels' must be an object, got {spec!r}")
-        p = require_real(spec["p"], "binomial_levels p")
+        p = unit(spec["p"], "binomial_levels p")
         levels = [[p] * size for size in _list(spec["sizes"], "binomial_levels sizes",
                                                functools.partial(require_int, minimum=1))]
     else:
         levels = _list(params["levels"], "check parameter 'levels'",
-                       functools.partial(_list, read=require_real))
+                       functools.partial(_list, read=unit))
     n = _positive(params, "samples", 20000)
     return [clt_check(levels, n, rng)]
 
 
 def _check_ust_subset_counts(params, rng):
-    graph = Graph.load(params["graph"])
+    graph = Graph.load(_path(params, "graph"))
     return _subset_count_fit(lambda r: sample_ust(graph, r),
                              lambda subset: count_pmf(transfer_current_kernel(graph), subset),
                              list(range((graph.n_edges + 1) // 2)), params, rng,

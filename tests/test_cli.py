@@ -30,6 +30,10 @@ GOLDEN_KINDS_OUTPUT = Path(__file__).resolve().parent / "data" / "kinds_golden_k
 # `detperm ust sample --graph <it> --count 200 --seed 3`
 GOLDEN_GRID = Path(__file__).resolve().parent / "data" / "ust_grid_3x4.txt"
 GOLDEN_TREES = Path(__file__).resolve().parent / "data" / "ust_grid_3x4_seed3.txt"
+# a `clt` suite whose levels repeat no lambda, and the stdout of
+# `detperm verify --suite <it> --seed 4`
+CLT_LEVELS_SUITE = Path(__file__).resolve().parent / "data" / "clt_levels_suite.json"
+CLT_LEVELS_OUTPUT = Path(__file__).resolve().parent / "data" / "clt_levels_seed4.jsonl"
 
 
 @pytest.fixture
@@ -187,6 +191,22 @@ class TestSampleCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "'weights' must hold numbers" in captured.err
+
+    @pytest.mark.parametrize("ground, message", [
+        (5, "'ground' must be an object with a 'labels' list"),
+        ({"labels": 5, "weights": [1]}, "'ground' must be an object with a 'labels' list"),
+        ({"labels": [{"a": 1}], "weights": [1]}, "a label must be a number, a string or a list"),
+        ({"labels": [[0, {"a": 1}]], "weights": [1]},
+         "a label must be a number, a string or a list")],
+        ids=["ground-a-number", "labels-a-number", "label-an-object", "nested-label-an-object"])
+    def test_malformed_ground_exits_two(self, ground, message, tmp_path, capsys):
+        # each once ended in a TypeError traceback with exit 1
+        path = tmp_path / "ground.json"
+        path.write_text(json.dumps({"ground": ground, "matrix_real": [[0.5]]}))
+        assert main(["sample", "dpp", "--kernel", str(path), "--seed", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
 
 
 class TestCountsCommand:
@@ -435,6 +455,38 @@ class TestVerifyCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+
+    @pytest.mark.parametrize("check, message", [
+        pytest.param({"type": "clt", "levels": [[0.5, 2.0], [0.5] * 4, [0.5] * 8]},
+                     "check parameter 'levels'[0][1] must lie in [0, 1], got 2.0",
+                     id="level-entry-above-one"),
+        pytest.param({"type": "clt", "levels": [[0.5], [0.5] * 4, [0.5, -0.25, 0.5]]},
+                     "check parameter 'levels'[2][1] must lie in [0, 1], got -0.25",
+                     id="level-entry-below-zero"),
+        pytest.param({"type": "clt", "binomial_levels": {"p": 1.5, "sizes": [4, 8, 16]}},
+                     "binomial_levels p must lie in [0, 1], got 1.5", id="binomial-p-above-one"),
+        pytest.param({"type": "dpp_count_law", "kernel": 0},
+                     "check parameter 'kernel' must be a path string, got 0",
+                     id="kernel-an-integer"),
+        pytest.param({"type": "perm_count_law", "kernel": None},
+                     "check parameter 'kernel' must be a path string, got None", id="kernel-null"),
+        pytest.param({"type": "ust_subset_counts", "graph": 0},
+                     "check parameter 'graph' must be a path string, got 0",
+                     id="graph-an-integer")])
+    def test_out_of_range_or_non_path_field_exits_two(self, tmp_path, capsys, check, message):
+        # a level entry of 2.0 once exited 2 with "math domain error", p 1.5 with
+        # a message on level variances, and "kernel": 0 read the kernel from stdin
+        suite = tmp_path / "suite.json"
+        suite.write_text(json.dumps({"checks": [check]}))
+        assert main(["verify", "--suite", str(suite), "--seed", "4"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    def test_clt_stream_without_repeats_is_pinned(self, capsys):
+        # a level that repeats no lambda draws one uniform per indicator
+        assert main(["verify", "--suite", str(CLT_LEVELS_SUITE), "--seed", "4"]) == 0
+        assert capsys.readouterr().out.encode() == CLT_LEVELS_OUTPUT.read_bytes()
 
     @pytest.mark.parametrize("text", ["{not json", "[]", '{"checks": [7]}'],
                              ids=["not-json", "suite-not-an-object", "check-not-an-object"])

@@ -7,8 +7,10 @@ import pytest
 from scipy import special, stats
 
 import detperm as dp
+from detperm import harness
 from detperm.core import CapacityError, ParameterError, gamma_cdf
-from detperm.harness import chi2_sf, ks_distance, ks_sf, normal_cdf, run_suite
+from detperm.harness import (chi2_sf, counts_from_values, ks_distance, ks_sf, normal_cdf,
+                             run_suite)
 from detperm.planar import base_density
 
 from conftest import chi_square_homogeneity, tabulate
@@ -201,6 +203,14 @@ class TestClosedForms:
         assert ks_distance(z, normal_cdf) == pytest.approx(ref, rel=0, abs=1e-15)
 
 
+# three levels of growing variance, each a lambda of 0.3 repeated among
+# distinct lambdas; the last is 0.3 x 40 among 20 distinct values
+MIXED_LEVELS = [
+    np.concatenate([np.full(n, 0.3), np.linspace(0.05, 0.95, n // 2)])[
+        np.random.default_rng(n).permutation(n + n // 2)]
+    for n in (10, 20, 40)]
+
+
 class TestCltCheck:
     def test_preconditions(self, rng):
         with pytest.raises(ParameterError):
@@ -233,6 +243,9 @@ class TestCltCheck:
             def random(self, size):
                 return self.rng.random(size) - 0.02
 
+            def binomial(self, n, p, size):
+                return self.rng.binomial(n, p + 0.02, size)
+
         levels = [[0.5] * 16, [0.5] * 128, [0.5] * 1024]
         report = dp.clt_check(levels, 20000, Biased(dp.stream(52)))
         assert not report.passed
@@ -240,6 +253,64 @@ class TestCltCheck:
         for level in range(3):
             assert any(f.startswith(f"level {level}: counts do not fit") for f in failed)
             assert any(f.startswith(f"level {level}: KS distance") for f in failed)
+
+    def test_mixed_levels_fit_the_bernoulli_convolution(self, rng):
+        # the repeated lambda of each level is one binomial draw per sample
+        calls = []
+
+        class Recorded:
+            def random(self, size):
+                return rng.random(size)
+
+            def binomial(self, n, p, size):
+                calls.append((int(n), float(p), size))
+                return rng.binomial(n, p, size)
+
+        report = dp.clt_check(MIXED_LEVELS, 20000, Recorded())
+        assert calls == [(10, 0.3, 20000), (20, 0.3, 20000), (40, 0.3, 20000)]
+        assert report.passed
+        assert min(report.details["chi_square_p_per_level"]) > 1e-3
+
+    def test_a_group_drawn_one_copy_short_fails_the_fit(self):
+        # mutation: the repeated lambda is drawn as Binomial(m - 1, lambda)
+        class OneShort:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def random(self, size):
+                return self.rng.random(size)
+
+            def binomial(self, n, p, size):
+                return self.rng.binomial(n - 1, p, size)
+
+        report = dp.clt_check(MIXED_LEVELS, 20000, OneShort(dp.stream(53)))
+        assert not report.passed
+        assert max(report.details["chi_square_p_per_level"]) <= 1e-3 / 3
+        for level in range(3):
+            assert any(f.startswith(f"level {level}: counts do not fit")
+                       for f in report.details["failed"])
+
+    def test_levels_without_repeats_draw_one_uniform_per_indicator(self, monkeypatch):
+        # with no lambda repeated, a level's counts are the uniform block
+        # comparison u < lambda, row by row in blocks of at most 2^18 uniforms
+        seen = []
+
+        def record(values):
+            seen.append(np.array(values))
+            return counts_from_values(values)
+
+        monkeypatch.setattr(harness, "counts_from_values", record)
+        levels = [np.linspace(0.1, 0.9, 5), np.linspace(0.05, 0.95, 40),
+                  np.linspace(0.01, 0.99, 3000)]
+        dp.clt_check(levels, 1000, dp.stream(54))
+        replay = dp.stream(54)
+        assert len(seen) == len(levels)
+        for lams, counts in zip(levels, seen):
+            rows = max(1, 2**18 // len(lams))
+            expected = np.concatenate([
+                (replay.random((min(rows, 1000 - i), len(lams))) < lams).sum(axis=1)
+                for i in range(0, 1000, rows)])
+            np.testing.assert_array_equal(counts, expected)
 
     def test_bound_is_berry_esseen_plus_dkw(self, rng):
         levels = [[0.2] * 10, [0.2] * 40, [0.2] * 160]
