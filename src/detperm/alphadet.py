@@ -12,7 +12,7 @@ a three-point kernel witnesses that no process can exist at all.
 
 from .core import PointConfiguration, split, union_copies
 from .dpp import count_pmf, sample_dpp
-from .kernels import Spectrum, spectrum
+from .kernels import spectrum
 from .permanental import sample_permanental
 
 
@@ -21,13 +21,13 @@ def scaled_kernel(kernel, factor):
     once per factor and cached on K.  It is the kernel of K's spectrum with
     the eigenvalues times the factor: the same eigenfunctions, still in
     descending order, so it is never decomposed again and is Hermitian by
-    construction."""
+    construction, and weighted columns that K's spectrum has checked are
+    not checked again."""
     if factor == 1.0:
         return kernel
     cache = kernel.__dict__.setdefault("_scaled_cache", {})
     if factor not in cache:
-        spec = spectrum(kernel)
-        cache[factor] = Spectrum(factor * spec.eigenvalues, spec.eigenvectors, spec.ground).kernel()
+        cache[factor] = spectrum(kernel).scaled(factor).kernel()
     return cache[factor]
 
 

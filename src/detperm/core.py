@@ -148,7 +148,7 @@ def sample_categorical(weights, rng, size=None):
         raise DegenerateDistributionError("weights must be non-negative and non-empty")
     total = w.sum()
     if not 0 < total < math.inf:
-        raise DegenerateDistributionError(f"categorical weights sum to {total!r}")
+        raise DegenerateDistributionError(f"categorical weights sum to {float(total)!r}")
     return _locate(w, w.cumsum(), (rng.random() if size is None else rng.random(size)) * total)
 
 
@@ -286,7 +286,7 @@ class CountDistribution:
             raise DetpermError("pmf entries must be non-negative")
         total = pmf.sum() + self.tail_bound
         if not (1 - PMF_MASS_TOL <= total <= 1 + PMF_MASS_TOL):
-            raise DetpermError(f"pmf plus tail must sum to 1, got {total!r}")
+            raise DetpermError(f"pmf plus tail must sum to 1, got {float(total)!r}")
 
     @property
     def n_max(self):
@@ -316,7 +316,7 @@ def clamp_unit_interval(values):
     v = np.asarray(values, dtype=float)
     if v.size and (v.min() < -tol or v.max() > 1 + tol):
         bad = v[(v < -tol) | (v > 1 + tol)][0]
-        raise InvalidEigenvalueError(f"value {bad!r} outside [0, 1] beyond tolerance")
+        raise InvalidEigenvalueError(f"value {float(bad)!r} outside [0, 1] beyond tolerance")
     return np.clip(v, 0.0, 1.0)
 
 
@@ -324,7 +324,7 @@ def clamp_nonnegative(values):
     """Clamp values into [0, inf), allowing jitter of up to EIGENVALUE_TOL below 0."""
     v = np.asarray(values, dtype=float)
     if v.size and v.min() < -EIGENVALUE_TOL:
-        raise InvalidEigenvalueError(f"value {v.min()!r} negative beyond tolerance")
+        raise InvalidEigenvalueError(f"value {float(v.min())!r} negative beyond tolerance")
     return np.maximum(v, 0.0)
 
 

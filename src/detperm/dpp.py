@@ -14,10 +14,12 @@ eigenfunctions times W^(1/2) for the atom masses W, checked orthonormal
 once per spectrum: V V* is W^(1/2) K W^(1/2) for the projection kernel K.
 The sampler keeps the residual diagonal d, the conditional intensity of
 every atom given the points drawn so far.  Each step picks an atom x with
-probability proportional to d, forms one new column of the Cholesky
-factor of V V* from row x of V, and subtracts its squared moduli from d:
-O(n r) per step and O(n r^2) per draw.  The pick reuses the mass sum that
-the trace check has just taken, with one uniform per step, so it is the
+probability proportional to d, forms column k of the Cholesky factor of
+V V* as c_k = V f_k with f_k = (conj(v_x) - conj(C[:k, x]) F[:k]) / sqrt(d[x])
+for the earlier columns C and f_j (rows of F), and subtracts |c_k|^2 from d:
+one n x r and one k x r product per step, about n r^2 + r^3/2 flops per
+draw.  The uniforms come as one block, equal on Philox to one scalar draw
+per step, and each pick reuses the trace check's mass sum, so it is the
 index ``sample_categorical`` would draw on the same stream.  The sampler
 follows V's dtype: a real V, such as a spanning tree's, runs in real
 arithmetic.  The same sampler draws random spanning trees (``ust``) and
@@ -68,26 +70,29 @@ def sample_projection(spec, rng, keep=None):
     real = not np.iscomplexobj(v)
     d = (v * v if real else v.real**2 + v.imag**2).sum(axis=1)
     start = d.copy()
-    cols = np.empty((rank, n), dtype=v.dtype)  # row k: column k of the factor
-    mass, cum = np.empty(n), np.empty(n)
+    cols = np.empty((rank, n), dtype=v.dtype)  # row k: column k of the factor, V f_k
+    f = np.empty((rank, rank), dtype=v.dtype)  # row k: f_k
+    cum = np.empty(n)
     chosen = []
-    for k in range(rank):
-        np.maximum(d, 0.0, out=mass)
-        total = mass.sum()
+    for k, u in enumerate(rng.random(rank)):
+        np.maximum(d, 0.0, out=d)  # d only decreases: a clamped atom keeps zero mass
+        total = d.sum()
         if not abs(total - (rank - k)) <= TRACE_TOL * rank:
             raise NumericalDegeneracyError(
-                f"residual intensity {total!r} drifted from {rank - k} points to draw"
+                f"residual intensity {float(total)} drifted from {rank - k} points to draw"
             )
-        x = _locate(mass, mass.cumsum(out=cum), rng.random() * total)
+        x = _locate(d, d.cumsum(out=cum), u * total)
         pivot = d[x]
         if not pivot > PIVOT_TOL * start[x]:
             raise NumericalDegeneracyError(
-                f"pivot {pivot!r} at atom {x} cancelled below {PIVOT_TOL} of {start[x]!r}"
+                f"pivot {float(pivot)} at atom {x} cancelled below {PIVOT_TOL} "
+                f"of {float(start[x])}"
             )
-        c = np.dot(v, v[x].conj(), out=cols[k])
-        c -= cols[:k, x].conj() @ cols[:k]
-        c /= math.sqrt(pivot)
-        d -= c * c if real else c.real**2 + c.imag**2
+        fk = np.subtract(v[x].conj(), cols[:k, x].conj() @ f[:k], out=f[k])
+        fk /= math.sqrt(pivot)
+        c = np.dot(v, fk, out=cols[k])
+        sq = np.square(c if real else c.view(float))
+        d -= sq if real else sq[::2] + sq[1::2]  # |c|^2, as re^2 + im^2 when complex
         d[x] = 0.0
         chosen.append(x)
     return PointConfiguration(tuple(chosen), simple=True)

@@ -257,6 +257,11 @@ def clt_check(lambda_sequences, samples_per_level, rng):
     seqs = [np.asarray(s, dtype=float) for s in lambda_sequences]
     if len(seqs) < 3:
         raise ParameterError("need at least 3 levels")
+    for level, lams in enumerate(seqs):
+        bad = np.flatnonzero(~((lams >= 0) & (lams <= 1)))
+        if bad.size:
+            raise ParameterError(f"level {level} entry {bad[0]}: lambda "
+                                 f"{float(lams[bad[0]])!r} outside [0, 1]")
     means = [float(s.sum()) for s in seqs]
     variances = [float((s * (1 - s)).sum()) for s in seqs]
     if any(b <= a for a, b in zip(variances, variances[1:])):

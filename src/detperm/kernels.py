@@ -188,6 +188,13 @@ class Spectrum:
             raise DetpermError("eigenfunctions are not orthonormal under the weights")
         return v
 
+    def scaled(self, factor):
+        """Eigenvalues times ``factor``: the same eigenfunctions keep any checked ``weighted``."""
+        result = Spectrum(factor * self.eigenvalues, self.eigenvectors, self.ground)
+        if "weighted" in self.__dict__:
+            result.__dict__["weighted"] = self.weighted
+        return result
+
     def kernel(self):
         """The kernel sum_k lambda_k phi_k(x) conj(phi_k(y)) of this
         spectrum, factored by its eigenfunction columns and holding this

@@ -90,6 +90,8 @@ _BASES = {b.name: b for b in (_GaussianBase, _LebesgueDiskBase)}
 
 
 def base_density(name):
+    if not isinstance(name, str):
+        raise ParameterError(f"'base' must be a string, got {name!r}")
     try:
         return _BASES[name]
     except KeyError:

@@ -1,3 +1,4 @@
+import functools
 import math
 from collections import Counter
 
@@ -99,6 +100,29 @@ class TestSampleAlpha:
         derived = dp.spectrum(scaled_kernel(k, 1 / 3))
         np.testing.assert_allclose(derived.kernel().matrix, k.matrix / 3, atol=1e-12)
 
+
+    def test_scaled_spectrum_shares_the_checked_columns(self, rng, monkeypatch):
+        # the orthonormality check of K's spectrum is not repeated for K/2
+        # or K/3: their eigenfunctions are the same arrays
+        calls = []
+        weighted = dp.Spectrum.weighted.func
+
+        def counted(spec):
+            calls.append(1)
+            return weighted(spec)
+
+        prop = functools.cached_property(counted)
+        prop.__set_name__(dp.Spectrum, "weighted")
+        monkeypatch.setattr(dp.Spectrum, "weighted", prop)
+        k = kernel_from_spectrum(dp.GroundSet.uniform(5), [0.9, 0.6, 0.3], rng, factored=True)
+        for alpha in [-1.0, -0.5, -1 / 3] * 10:
+            dp.sample_alpha(k, alpha, rng)
+        assert len(calls) == 1
+        parent = dp.spectrum(k)
+        for factor in (0.5, 1 / 3):
+            scaled = dp.spectrum(scaled_kernel(k, factor))
+            assert scaled.weighted is parent.weighted
+            np.testing.assert_array_equal(scaled.eigenvalues, factor * parent.eigenvalues)
 
     def test_scaled_kernel_built_once_per_factor(self, rng, monkeypatch):
         from detperm import kernels

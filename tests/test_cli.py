@@ -310,6 +310,17 @@ class TestRadialCommand:
         assert main(["radial", *action, "--spec", str(path), "--seed", "9"]) == 2
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("base", [["gaussian"], {"name": "gaussian"}, 5, None],
+                             ids=["list", "object", "number", "null"])
+    def test_non_string_base_exits_two(self, tmp_path, capsys, base):
+        # a list base once ended in "TypeError: unhashable type" with exit 1
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"terms": [{"k": 0, "lambda": 1.0}], "base": base}))
+        assert main(["radial", "sample", "--spec", str(path), "--seed", "9"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "'base' must be a string" in captured.err
+
 
 @pytest.mark.parametrize("argv", [["sample", "dpp", "--kernel"], ["radial", "sample", "--spec"],
                                   ["ust", "sample", "--graph"]], ids=["sample", "radial", "ust"])

@@ -288,3 +288,46 @@ class TestRequireReal:
     def test_anything_else_is_rejected(self, value):
         with pytest.raises(ParameterError, match="x must be a finite real number"):
             require_real(value, "x")
+
+
+class _Uniforms:
+    """A stream stub handing out fixed step uniforms as one block."""
+
+    def __init__(self, values):
+        self.values = values
+
+    def random(self, size=None):
+        return np.array(self.values[:size])
+
+
+def _cancelled_pivot():
+    # atom 1 drawn first leaves atom 0 a residual of about 1e-13, above
+    # rounding noise but below PIVOT_TOL of its intensity; the second
+    # uniform, 0, then picks atom 0
+    c, delta = math.sqrt(0.5), math.sqrt(1e-13) / 2
+    v = np.array([[c, delta], [c, -delta], [0.0, math.sqrt(1 - 2 * delta**2)]])
+    spec = dp.Spectrum(np.ones(2), v, dp.GroundSet.uniform(3))
+    dp.sample_projection(spec, _Uniforms([0.375, 0.0]))
+
+
+def _drifted_trace():
+    # columns scaled by 1.01 after the orthonormality check
+    spec = dp.Spectrum(np.ones(2), np.eye(2), dp.GroundSet.uniform(2))
+    object.__setattr__(spec, "weighted", 1.01 * spec.weighted)
+    dp.sample_projection(spec, dp.stream(1))
+
+
+@pytest.mark.parametrize("fail, shown", [
+    (_cancelled_pivot, "at atom 0 cancelled below 1e-10 of 0.5000"),
+    (_drifted_trace, "residual intensity 2.0402"),
+    (lambda: dp.core.clamp_unit_interval(np.array([0.5, 1.5])), "value 1.5 outside"),
+    (lambda: dp.core.clamp_nonnegative(np.array([0.5, -0.5])), "value -0.5 negative"),
+    (lambda: dp.sample_categorical(np.array([np.inf, 1.0]), dp.stream(1)), "sum to inf"),
+    (lambda: dp.CountDistribution(np.array([0.5, 0.25])), "got 0.75"),
+], ids=["pivot", "drift", "unit-interval", "nonnegative", "categorical", "pmf"])
+def test_error_messages_print_plain_floats(fail, shown):
+    # numpy scalars print as np.float64(...) under numpy 2; messages show the number
+    with pytest.raises(dp.DetpermError) as info:
+        fail()
+    assert "np." not in str(info.value)
+    assert shown in str(info.value)

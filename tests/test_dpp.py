@@ -1,7 +1,9 @@
 import functools
 import itertools
+import json
 import math
 from collections import Counter
+from pathlib import Path
 
 from unittest import mock
 
@@ -26,6 +28,7 @@ from conftest import (
 
 ALPHA = 1e-3
 N_SAMPLES = 10000
+COMPLEX_STREAM = Path(__file__).resolve().parent / "data" / "complex_dpp_seed7.jsonl"
 
 
 @pytest.fixture
@@ -112,13 +115,49 @@ class TestSampleProjection:
         assert len(masses) == rank
         assert list(points) == [dp.sample_categorical(m, replay) for m in masses]
 
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_each_residual_is_the_schur_complement(self, complex_):
+        # the mass at each step is K(y, y) - K(y, S) K(S, S)^-1 K(S, y) for
+        # the atoms S drawn so far, with K = V V* built densely from the
+        # weighted columns: the r-side update against the textbook formula
+        gen = np.random.default_rng(11)
+        a = gen.normal(size=(40, 12))
+        if complex_:
+            a = a + 1j * gen.normal(size=a.shape)
+        q, _ = np.linalg.qr(a)
+        ground = dp.GroundSet(tuple(range(40)), gen.uniform(0.5, 2.0, size=40))
+        spec = dp.Spectrum(np.ones(12), q / np.sqrt(ground.weights)[:, None], ground)
+        keep = np.array([0, 2, 3, 5, 6, 7, 9, 11])
+        v = spec.weighted[:, keep]
+        k = v @ v.conj().T
+        masses, locate = [], dpp._locate
+
+        def spy(w, cum, u):
+            masses.append(w.copy())
+            return locate(w, cum, u)
+
+        rng = dp.stream(5)
+        for _ in range(20):
+            masses.clear()
+            with mock.patch.object(dpp, "_locate", spy):
+                points = dp.sample_projection(spec, rng, keep).points
+            assert len(masses) == len(keep)
+            for step, mass in enumerate(masses):
+                s = list(points[:step])
+                schur = np.diag(k).real.copy()
+                if s:
+                    solved = np.linalg.solve(k[np.ix_(s, s)], k[s])  # K(S, S)^-1 K(S, y)
+                    schur -= np.einsum("ys,sy->y", k[:, s], solved).real
+                assert np.abs(mass - schur).max() <= 1e-12
+
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_rounding_overshoot_picks_the_last_positive_atom(self, dtype):
         # the pairwise sum of this mass exceeds its last cumulative sum, so
         # the largest uniform lands past it, as in sample_categorical
         class LargestUniform:
-            def random(self):
-                return 1.0 - 2.0**-53
+            def random(self, size=None):
+                u = 1.0 - 2.0**-53
+                return u if size is None else np.full(size, u)
 
         w = np.array([1.0] + [1e-16] * 1000 + [0.0, 0.0])
         v = np.sqrt(w / w.sum()).astype(dtype)[:, None]
@@ -192,6 +231,20 @@ class TestSampleDpp:
         draws = [len(dp.sample_dpp(kernel, rng)) for _ in range(N_SAMPLES)]
         report = dp.chi_square_fit(tabulate(draws, len(law.pmf)), law.pmf)
         assert report.p_value > ALPHA, report
+
+    def test_complex_stream_is_pinned(self):
+        # 120 atoms at rank 20: large enough that a change in how the
+        # residual is updated rounds it differently; the picks must not move.
+        # 200 sample_dpp draws, then 50 sample_alpha(-0.5) draws.
+        gen = np.random.default_rng(24)
+        q, _ = np.linalg.qr(gen.normal(size=(120, 20)) + 1j * gen.normal(size=(120, 20)))
+        lams = np.sort(gen.uniform(0.05, 1.0, size=20))[::-1]
+        kernel = dp.Spectrum(lams, q, dp.GroundSet.uniform(120)).kernel()
+        rng = dp.stream(7)
+        draws = [dp.sample_dpp(kernel, rng).points for _ in range(200)]
+        draws += [dp.sample_alpha(kernel, -0.5, rng).points for _ in range(50)]
+        pinned = [tuple(json.loads(line)) for line in COMPLEX_STREAM.read_text().splitlines()]
+        assert draws == pinned
 
     def test_invalid_kernel_rejected(self, rng):
         k = dp.HermitianKernel(1.2 * np.eye(2, dtype=complex), dp.GroundSet.uniform(2))

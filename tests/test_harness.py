@@ -219,6 +219,19 @@ class TestCltCheck:
         with pytest.raises(ParameterError):
             dp.clt_check([[1.0] * 8, [1.0] * 64, [1.0] * 512], 1000, rng)
 
+    @pytest.mark.parametrize("levels, where", [
+        ([[0.5, 2.0], [0.5] * 4, [0.5] * 8], "level 0 entry 1: lambda 2.0"),
+        ([[0.5] * 2, [0.5] * 4, [0.5] * 7 + [-0.25]], "level 2 entry 7: lambda -0.25"),
+        ([[0.5] * 2, [1.5] * 4, [0.5] * 8], "level 1 entry 0: lambda 1.5"),
+        ([[0.5] * 2, [0.5, math.nan] * 2, [0.5] * 8], "level 1 entry 1: lambda nan"),
+    ], ids=["single-above-one", "negative", "repeated-above-one", "nan"])
+    def test_lambda_outside_the_unit_interval_is_named(self, levels, where):
+        # checked before any draw, so the stream is left untouched
+        rng = dp.stream(3)
+        with pytest.raises(ParameterError, match=f"^{where} outside"):
+            dp.clt_check(levels, 100, rng)
+        assert rng.random() == dp.stream(3).random()
+
     def test_ks_shrinks_like_root_variance(self, rng):
         levels = [[0.5] * 8, [0.5] * 64, [0.5] * 512]
         report = dp.clt_check(levels, 30000, rng)
