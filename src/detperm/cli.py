@@ -105,7 +105,8 @@ def _cmd_sample(args):
 
 def _cmd_counts(args):
     kernel = HermitianKernel.load(args.kernel)
-    subset = [int(s) for s in args.subset.split(",")] if args.subset else []
+    subset = [require_int(int(s) if s.strip().isdecimal() else s, "--subset entry", 0)
+              for s in args.subset.split(",")] if args.subset else []
     _dump(count_pmf(kernel, subset, _alpha(args), args.nmax).to_json(), sys.stdout)
     return 0
 

@@ -40,6 +40,9 @@ INTENSITY_IMAG_TOL = 1e-9
 PMF_MASS_TOL = 1e-12
 # Max eigenvalue clamp of a discretized radial kernel; a coarser grid raises.
 DISCRETIZATION_CLAMP_TOL = 0.05
+# One zero rule has no constant: restricting a kernel that holds its m-pair
+# spectrum drops |lambda| <= m eps max|lambda|, the eigensolver's backward
+# error (kernels.Spectrum.nonzero).
 
 GAMMA_SHAPE_CAP = 500  # gamma_cdf sums shape Poisson terms from e^(-x)
 

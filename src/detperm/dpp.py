@@ -124,7 +124,9 @@ def count_pmf(kernel, subset, alpha=-1.0, n_max=None):
     parameter |alpha| lambda: Bernoulli for alpha < 0, so a binomial per
     eigenvalue, and geometric for alpha > 0, so a negative binomial per
     eigenvalue, truncated at ``n_max``.  So alpha = -1 gives the
-    determinantal and alpha = +1 the permanental count law.
+    determinantal and alpha = +1 the permanental count law.  A kernel that
+    holds its spectrum, of numerical rank r, is restricted r x r (``restrict``):
+    an alpha < 0 pmf then ends at m r, past which it held rounding noise.
     """
     copies = union_copies(alpha)
     idx = list(subset)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -188,6 +189,15 @@ class Spectrum:
             raise DetpermError("eigenfunctions are not orthonormal under the weights")
         return v
 
+    @functools.cached_property
+    def nonzero(self):
+        """The numerical-rank view: the pairs with |lambda| above size eps max|lambda|,
+        the eigensolver's backward error; this spectrum itself if none is dropped."""
+        mags = np.abs(self.eigenvalues)
+        keep = mags > self.size * sys.float_info.epsilon * mags.max(initial=0.0)
+        return self if keep.all() else Spectrum(
+            self.eigenvalues[keep], self.eigenvectors[:, keep], self.ground)
+
     def scaled(self, factor):
         """Eigenvalues times ``factor``: the same eigenfunctions keep any checked ``weighted``."""
         result = Spectrum(factor * self.eigenvalues, self.eigenvectors, self.ground)
@@ -239,9 +249,9 @@ def spectrum(kernel):
 
 def eigenvalues(kernel):
     """The eigenvalues of ``spectrum(kernel)``, in descending order, without
-    its eigenvectors: a cached spectrum's, or ``eigvalsh`` of the same
-    symmetrized matrix.  Count laws need no more, and a throw-away
-    restricted kernel is never sampled from, so nothing is cached."""
+    its eigenvectors: all of a cached spectrum's, or ``eigvalsh`` of the same
+    symmetrized matrix, r x r after ``restrict`` through a ``nonzero`` view.
+    Count laws need no more, and a throw-away restriction caches nothing."""
     cached = getattr(kernel, "_spectrum_cache", None)
     if cached is not None:
         return cached.eigenvalues
@@ -295,8 +305,9 @@ def validate_determinantal(kernel):
 
 
 def restrict(kernel, subset):
-    """The kernel on a subset of atoms: its principal submatrix, or the
-    factor's rows on the subset."""
+    """The kernel on a subset of atoms: the rows of its held spectrum's
+    ``nonzero`` view when that numerical rank r is below the subset's size,
+    so the eigenproblem is r x r; else its principal submatrix or factor rows."""
     idx = [int(i) for i in subset]
     if len(set(idx)) != len(idx):
         raise DetpermError("restriction subset must have distinct indices")
@@ -306,6 +317,10 @@ def restrict(kernel, subset):
         tuple(kernel.ground.labels[i] for i in idx),
         kernel.ground.weights[idx],
     )
+    rows = getattr(kernel, "_spectrum_cache", None)
+    if rows is not None and rows.nonzero.size < len(idx):
+        return HermitianKernel.from_factor(rows.nonzero.eigenvectors[idx],
+                                           rows.nonzero.eigenvalues, ground)
     if kernel.factor is None:
         return HermitianKernel(kernel.minor(idx), ground)
     return HermitianKernel.from_factor(kernel.factor[idx], kernel.coefficients, ground)

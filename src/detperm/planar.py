@@ -100,6 +100,13 @@ def base_density(name):
         ) from None
 
 
+def _field(obj, key, where):
+    """``obj[key]``, or a ParameterError that names the field missing from ``where``."""
+    if key not in obj:
+        raise ParameterError(f"{where} has no {key!r} field")
+    return obj[key]
+
+
 @dataclass(frozen=True)
 class RadialTerm:
     degree: int
@@ -145,11 +152,14 @@ class RadialKernelSpec:
 
     @staticmethod
     def from_json(obj):
-        b = base_density(obj["base"])
-        raw_terms = obj["terms"]
+        if not isinstance(obj, dict):
+            raise ParameterError(f"a radial spec must be a JSON object, got {obj!r}")
+        b = base_density(_field(obj, "base", "radial spec"))
+        raw_terms = _field(obj, "terms", "radial spec")
         if not isinstance(raw_terms, list) or not all(isinstance(t, dict) for t in raw_terms):
             raise ParameterError(f"'terms' must be a list of objects, got {raw_terms!r}")
-        degrees = [require_int(t["k"], "term degree k", 0) for t in raw_terms]
+        degrees = [require_int(_field(t, "k", f"radial spec term {i}"), "term degree k", 0)
+                   for i, t in enumerate(raw_terms)]
         try:
             moments = [b.moment(k) for k in degrees]
         except OverflowError:
@@ -159,9 +169,10 @@ class RadialKernelSpec:
             a2 = [1.0 / m for m in moments]
         elif not isinstance(a2, list) or len(a2) != len(raw_terms):
             raise ParameterError(f"'a2' must be \"auto\" or one value per term, got {a2!r}")
-        terms = (RadialTerm(k, require_real(t["lambda"], "term lambda"),
+        terms = (RadialTerm(k, require_real(_field(t, "lambda", f"radial spec term {i}"),
+                                            "term lambda"),
                             require_real(norm_sq, "a2 entry"))
-                 for k, t, norm_sq in zip(degrees, raw_terms, a2))
+                 for i, (k, t, norm_sq) in enumerate(zip(degrees, raw_terms, a2)))
         return RadialKernelSpec(tuple(terms), obj["base"])
 
     @staticmethod

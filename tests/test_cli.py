@@ -244,6 +244,15 @@ class TestCountsCommand:
         law = json.loads(capsys.readouterr().out)
         assert abs(sum(law["pmf"]) + law["tail_bound"] - 1.0) < 1e-9
 
+    @pytest.mark.parametrize("subset", ["0,,1", "0,1.5", "0,x"],
+                             ids=["empty", "fractional", "not-a-number"])
+    def test_malformed_subset_entry_exits_two(self, kernel_file, capsys, subset):
+        # each once printed only "invalid literal for int() with base 10"
+        assert main(["counts", "--kernel", kernel_file, "--subset", subset, "--kind", "dpp"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--subset entry must be an integer >= 0" in captured.err
+
 
 class TestProcessKinds:
     """The kinds dpp and perm are the alpha-determinantal process at alpha = -1 and +1."""
@@ -320,6 +329,25 @@ class TestRadialCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "'base' must be a string" in captured.err
+
+    @pytest.mark.parametrize("spec, message", [
+        pytest.param([], "a radial spec must be a JSON object", id="not-an-object"),
+        pytest.param({"terms": [{"k": 0, "lambda": 1.0}]}, "radial spec has no 'base' field",
+                     id="no-base"),
+        pytest.param({"base": "gaussian"}, "radial spec has no 'terms' field", id="no-terms"),
+        pytest.param({"base": "gaussian", "terms": [{"lambda": 1.0}]},
+                     "radial spec term 0 has no 'k' field", id="no-degree"),
+        pytest.param({"base": "gaussian", "terms": [{"k": 0, "lambda": 1.0}, {"k": 1}]},
+                     "radial spec term 1 has no 'lambda' field", id="no-lambda")])
+    def test_missing_field_is_named(self, tmp_path, capsys, spec, message):
+        # a list once ended in a TypeError traceback with exit 1, and a
+        # missing key printed only the key, as in "error: 'base'"
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        assert main(["radial", "sample", "--spec", str(path), "--seed", "9"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
 
 
 @pytest.mark.parametrize("argv", [["sample", "dpp", "--kernel"], ["radial", "sample", "--spec"],

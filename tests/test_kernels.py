@@ -1,5 +1,6 @@
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -367,3 +368,94 @@ class TestFactoredKernel:
         dense = build(ground, arg, dp.stream(77))
         factored = build(ground, arg, dp.stream(77), factored=True)
         assert_spectra_agree(dp.spectrum(dense), dp.spectrum(factored))
+
+
+def rank_deficient(n, eigenvalues, rng, complex_):
+    """A dense n-atom kernel, real or complex, with weights uniform on
+    [0.5, 2] and the given nonzero eigenvalues; it holds no spectrum."""
+    w = rng.uniform(0.5, 2.0, n)
+    r = len(eigenvalues)
+    raw = rng.normal(size=(n, r)) + (1j * rng.normal(size=(n, r)) if complex_ else 0.0)
+    phi = np.linalg.qr(raw)[0] / np.sqrt(w)[:, None]
+    m = (phi * eigenvalues) @ phi.conj().T
+    return dp.HermitianKernel((m + m.conj().T) / 2, dp.GroundSet(tuple(range(n)), w))
+
+
+def record_eigenproblems(monkeypatch):
+    """Patch numpy's Hermitian eigensolvers to record the shape of each matrix they solve."""
+    shapes = []
+    for name in ("eigh", "eigvalsh"):
+        def solver(a, *args, _solve=getattr(np.linalg, name), **kwargs):
+            shapes.append(np.shape(a))
+            return _solve(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, solver)
+    return shapes
+
+
+class TestNumericalRank:
+    """A kernel that holds its spectrum is restricted through the
+    spectrum's numerical-rank view when that rank is below the subset's
+    size: an r x r eigenproblem per count law, and the same law."""
+
+    LAMS = [0.95, 0.8, 0.6, 0.3, 0.3, 0.1]
+    SUBSET = list(range(3, 30))  # 27 of 40 atoms, above the rank 6
+
+    @pytest.mark.parametrize("alpha", [-1.0, -0.5, 0.5, 1.0])
+    @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+    def test_cached_law_is_the_uncached_law(self, complex_, alpha):
+        kernel = rank_deficient(40, self.LAMS, dp.stream(3), complex_)
+        fresh = dp.HermitianKernel(kernel.matrix, kernel.ground)
+        uncached = dp.count_pmf(fresh, self.SUBSET, alpha, 60)
+        dp.spectrum(kernel)
+        assert dp.restrict(kernel, self.SUBSET).factor.shape == (len(self.SUBSET), len(self.LAMS))
+        cached = dp.count_pmf(kernel, self.SUBSET, alpha, 60)
+        if alpha < 0:  # the uncached law's further entries are products of rounding noise
+            assert len(cached.pmf) == len(self.LAMS) * round(-1 / alpha) + 1
+        padded = np.pad(cached.pmf, (0, len(uncached.pmf) - len(cached.pmf)))
+        np.testing.assert_allclose(padded, uncached.pmf, rtol=0, atol=1e-12)
+        assert abs(cached.tail_bound - uncached.tail_bound) <= 1e-12
+
+    @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+    def test_no_eigenproblem_larger_than_the_rank(self, monkeypatch, complex_):
+        kernel = rank_deficient(40, self.LAMS, dp.stream(4), complex_)
+        dp.spectrum(kernel)
+        shapes = record_eigenproblems(monkeypatch)
+        for alpha in (-1.0, -0.5, 0.5, 1.0):
+            dp.count_pmf(kernel, self.SUBSET, alpha, 60)
+        assert shapes == [(6, 6)] * 4
+
+    def test_full_rank_and_small_subsets_keep_the_subset_side(self, monkeypatch):
+        full = rank_deficient(12, np.linspace(0.9, 0.1, 12), dp.stream(5), True)
+        low = rank_deficient(40, self.LAMS, dp.stream(5), True)
+        dp.spectrum(full)
+        dp.spectrum(low)
+        shapes = record_eigenproblems(monkeypatch)
+        for kernel, subset in ((full, range(2, 11)), (low, range(6)), (low, [7, 1, 30])):
+            shapes.clear()
+            dp.count_pmf(kernel, subset)
+            assert shapes == [(len(subset), len(subset))]
+
+    def test_small_eigenvalue_above_the_cut_is_kept(self):
+        kernel = rank_deficient(40, [0.8, 0.5, 1e-9], dp.stream(6), False)
+        spec = dp.spectrum(kernel)
+        # the cut is 40 eps max|lambda|, about 7e-15; the 37 dropped pairs are noise
+        assert spec.size == 40 and spec.nonzero.size == 3
+        np.testing.assert_allclose(spec.nonzero.eigenvalues, [0.8, 0.5, 1e-9], rtol=1e-6)
+        law = dp.count_pmf(kernel, range(40))
+        assert len(law.pmf) == 4
+        assert law.pmf[3] == pytest.approx(0.8 * 0.5 * 1e-9, rel=1e-6)
+
+    def test_spectrum_kernels_keep_their_laws_bit_for_bit(self):
+        # holds by construction: a spectrum's own kernel is factored by the
+        # eigenvector columns that the numerical-rank view hands back
+        radial = dp.discretize_radial_kernel(dp.ginibre_spec(4), 0.5, 2.5)[0]
+        disk = [i for i, z in enumerate(radial.ground.labels) if abs(z) <= 1.5]
+        tree = dp.transfer_current_kernel(
+            dp.Graph.load(Path(__file__).resolve().parent / "data" / "ust_grid_3x4.txt"))
+        for kernel, subset in ((radial, disk), (tree, range(14))):
+            assert len(subset) > dp.spectrum(kernel).size
+            plain = dp.HermitianKernel.from_factor(kernel.factor, kernel.coefficients,
+                                                   kernel.ground)
+            for alpha, n_max in ((-1.0, None), (1.0, 40)):
+                assert np.array_equal(dp.count_pmf(kernel, subset, alpha, n_max).pmf,
+                                      dp.count_pmf(plain, subset, alpha, n_max).pmf)
