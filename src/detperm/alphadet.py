@@ -10,7 +10,7 @@ fails loudly: there is no exact sampler to fall back on, and for alpha > 4
 a three-point kernel witnesses that no process can exist at all.
 """
 
-from .core import PointConfiguration, split, union_copies
+from .core import PointConfiguration, admissible, split, union_copies
 from .dpp import count_pmf, sample_dpp
 from .kernels import spectrum
 from .permanental import sample_permanental
@@ -37,6 +37,7 @@ def sample_alpha(kernel, alpha, rng):
     ``sample_permanental``; m > 1 copies draw from one split stream each,
     and their multiset union is returned sorted."""
     copies = union_copies(alpha)
+    admissible(spectrum(kernel).eigenvalues, alpha)  # names the caller's eigenvalue
     base = scaled_kernel(kernel, abs(float(alpha)))
     draw = sample_dpp if alpha < 0 else sample_permanental
     if copies == 1:

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import planar
 from .alphadet import sample_alpha
-from .core import DetpermError, SymmetryError, _encode_label, require_int, stream
+from .core import DetpermError, ParameterError, SymmetryError, _encode_label, require_int, stream
 from .dpp import count_pmf
 from .harness import run_suite
 from .kernels import HermitianKernel, KernelVerdict, validate_determinantal
@@ -111,6 +111,15 @@ def _cmd_counts(args):
     return 0
 
 
+def _annulus(entry):
+    """The radii (lo, hi) of an --annuli entry "lo:hi"."""
+    lo, _, hi = entry.partition(":")
+    try:
+        return float(lo), float(hi)
+    except ValueError:
+        raise ParameterError(f"--annuli entry {entry!r} must be two numbers lo:hi") from None
+
+
 def _cmd_radial(args):
     spec = planar.RadialKernelSpec.load(args.spec)
     if args.action == "sample":
@@ -122,8 +131,7 @@ def _cmd_radial(args):
     if args.action == "lambdas":
         if not args.annuli:
             raise DetpermError("'lambdas' requires --annuli like 0:1,1:2")
-        # annuli_lambdas reads each "lo:hi" pair as two floats
-        matrix = planar.annuli_lambdas(spec, [c.split(":") for c in args.annuli.split(",")])
+        matrix = planar.annuli_lambdas(spec, [_annulus(c) for c in args.annuli.split(",")])
         _dump({"lambdas": [list(row) for row in matrix]}, sys.stdout)
         return 0
     rng = stream(args.seed)
@@ -222,7 +230,7 @@ def main(argv=None):
         if hasattr(args, "count"):
             require_int(args.count, "--count", 0)
         return args.func(args)
-    except (DetpermError, OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (DetpermError, OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 # Every numerical tolerance of the package, each bounding one quantity.
-# Eigenvalues (and eigenvalue-like weights) within this of their admissible
-# range are clamped into it; further out they are rejected.
+# Eigenvalues of |alpha| K within this of their admissible range are clamped
+# into it; further out they are rejected (``admissible``).
 EIGENVALUE_TOL = 1e-9
 # Max |K - K*| of a Hermitian kernel, relative to 1 + max |K|.
 HERMITIAN_TOL = 1e-10
@@ -52,7 +52,11 @@ class DetpermError(ValueError):
 
 
 class InvalidEigenvalueError(DetpermError):
-    """An eigenvalue lies outside its admissible range beyond tolerance."""
+    """A kernel's ``eigenvalue`` lies outside the range where its process exists."""
+
+    def __init__(self, message, eigenvalue):
+        super().__init__(message)
+        self.eigenvalue = eigenvalue
 
 
 class DegenerateDistributionError(DetpermError):
@@ -71,10 +75,6 @@ class CapacityError(DetpermError):
     """An exact combinatorial evaluation exceeds its size cap."""
 
 
-class KernelValidationError(DetpermError):
-    """A kernel fails the admissibility check required by a sampler."""
-
-
 class NumericalDegeneracyError(DetpermError):
     """An orthogonalization or rank update did not behave as guaranteed."""
 
@@ -89,6 +89,13 @@ class UnsupportedAlphaError(DetpermError):
 
 class GraphError(DetpermError):
     """A graph input violates a structural requirement."""
+
+
+def _field(obj, key, where):
+    """``obj[key]``, or a ParameterError that names the field missing from ``where``."""
+    if key not in obj:
+        raise ParameterError(f"{where} has no {key!r} field")
+    return obj[key]
 
 
 def require_int(value, name, minimum):
@@ -121,7 +128,7 @@ def union_copies(alpha):
     if copies >= 1 and abs(m - copies) <= RECIPROCAL_TOL * copies:
         return copies
     raise UnsupportedAlphaError(
-        f"alpha={alpha!r}: neither -1/alpha nor 1/alpha is a positive integer"
+        f"no exact sampler for alpha={alpha!r}: neither -1/alpha nor 1/alpha is a positive integer"
     )
 
 
@@ -235,7 +242,7 @@ class GroundSet:
     def from_json(obj):
         if not isinstance(obj, dict) or not isinstance(obj.get("labels"), list):
             raise ParameterError(f"'ground' must be an object with a 'labels' list, got {obj!r}")
-        weights = np.asarray(obj["weights"])
+        weights = np.asarray(_field(obj, "weights", "'ground'"))
         if weights.dtype.kind not in "iuf":
             raise DetpermError(f"'weights' must hold numbers, got {weights.dtype} entries")
         return GroundSet(tuple(_decode_label(x) for x in obj["labels"]), weights)
@@ -313,22 +320,22 @@ class CountDistribution:
 # count laws
 
 
-def clamp_unit_interval(values):
-    """Clamp values into [0, 1], allowing jitter of up to EIGENVALUE_TOL outside."""
-    tol = EIGENVALUE_TOL
-    v = np.asarray(values, dtype=float)
-    if v.size and (v.min() < -tol or v.max() > 1 + tol):
-        bad = v[(v < -tol) | (v > 1 + tol)][0]
-        raise InvalidEigenvalueError(f"value {float(bad)!r} outside [0, 1] beyond tolerance")
-    return np.clip(v, 0.0, 1.0)
-
-
-def clamp_nonnegative(values):
-    """Clamp values into [0, inf), allowing jitter of up to EIGENVALUE_TOL below 0."""
-    v = np.asarray(values, dtype=float)
-    if v.size and v.min() < -EIGENVALUE_TOL:
-        raise InvalidEigenvalueError(f"value {float(v.min())!r} negative beyond tolerance")
-    return np.maximum(v, 0.0)
+def admissible(values, alpha):
+    """The eigenvalues ``values`` of a kernel K as those of |alpha| K, clipped
+    into the range where the alpha-process exists: [0, 1] for alpha = -1/m
+    and [0, inf) for alpha = 1/m (Shirai and Takahashi 2003).  Outside it by
+    more than EIGENVALUE_TOL, InvalidEigenvalueError names K's own eigenvalue
+    and its bound, 1/|alpha| or 0, the largest eigenvalue first."""
+    lams = np.asarray(values, dtype=float)
+    scaled = abs(float(alpha)) * lams
+    high = 1.0 if alpha < 0 else math.inf
+    if scaled.size and scaled.max() > high + EIGENVALUE_TOL:
+        lam = float(lams[scaled.argmax()])
+        raise InvalidEigenvalueError(f"eigenvalue {lam!r} above {1 / abs(alpha):g}", lam)
+    if scaled.size and not scaled.min() >= -EIGENVALUE_TOL:  # NaN too
+        lam = float(lams[scaled.argmin()])
+        raise InvalidEigenvalueError(f"eigenvalue {lam!r} below 0", lam)
+    return np.clip(scaled, 0.0, high)
 
 
 def bernoulli_sum_pmf(lambdas):
@@ -337,7 +344,7 @@ def bernoulli_sum_pmf(lambdas):
     Computed by convolving the factors of the generating polynomial
     prod_k (1 - lambda_k + lambda_k t); no truncation is involved.
     """
-    lams = clamp_unit_interval(lambdas)
+    lams = admissible(lambdas, -1.0)
     pmf = np.array([1.0])
     for lam in lams:
         pmf = np.convolve(pmf, [1.0 - lam, lam])
@@ -362,7 +369,7 @@ def geometric_sum_pmf(lambdas, n_max):
     tail <= sum_k (lam_k/(1+lam_k))^(floor(n_max/n)+1) since the total can
     exceed n_max only if some single summand exceeds n_max/n.
     """
-    lams = clamp_nonnegative(lambdas)
+    lams = admissible(lambdas, 1.0)
     if n_max < 0:
         raise ParameterError("n_max must be non-negative")
     pmf = np.array([1.0])

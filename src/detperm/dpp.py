@@ -40,17 +40,16 @@ from .core import (
     PIVOT_TOL,
     TRACE_TOL,
     CountDistribution,
-    KernelValidationError,
     NumericalDegeneracyError,
     ParameterError,
     PointConfiguration,
     _locate,
+    admissible,
     bernoulli_sum_pmf,
-    clamp_unit_interval,
     geometric_sum_pmf,
     union_copies,
 )
-from .kernels import eigenvalues, restrict, spectrum, validate_determinantal
+from .kernels import eigenvalues, restrict, spectrum
 
 
 def sample_projection(spec, rng, keep=None):
@@ -99,17 +98,14 @@ def sample_projection(spec, rng, keep=None):
 
 
 def sample_dpp(kernel, rng):
-    """Draw one determinantal sample for a general admissible kernel.
+    """Draw one determinantal sample for a kernel with eigenvalues in [0, 1].
 
     Bernoulli indicators are drawn first (one per eigenvalue, in
     descending eigenvalue order, so replay is deterministic), then the
     projection process on the kept eigenfunctions is sampled.
     """
-    verdict = validate_determinantal(kernel)
-    if not verdict:
-        raise KernelValidationError(f"kernel not determinantal: {verdict.reason}")
     spec = spectrum(kernel)
-    lams = clamp_unit_interval(spec.eigenvalues)
+    lams = admissible(spec.eigenvalues, -1.0)
     keep = np.nonzero(rng.random(len(lams)) < lams)[0]
     return sample_projection(spec, rng, keep)
 
@@ -124,15 +120,17 @@ def count_pmf(kernel, subset, alpha=-1.0, n_max=None):
     parameter |alpha| lambda: Bernoulli for alpha < 0, so a binomial per
     eigenvalue, and geometric for alpha > 0, so a negative binomial per
     eigenvalue, truncated at ``n_max``.  So alpha = -1 gives the
-    determinantal and alpha = +1 the permanental count law.  A kernel that
+    determinantal and alpha = +1 the permanental count law.  The whole kernel
+    must be ``admissible`` at alpha, not only the restriction.  A kernel that
     holds its spectrum, of numerical rank r, is restricted r x r (``restrict``):
     an alpha < 0 pmf then ends at m r, past which it held rounding noise.
     """
     copies = union_copies(alpha)
+    admissible(eigenvalues(kernel), alpha)
     idx = list(subset)
     if not idx:
         return CountDistribution(np.array([1.0]), 0.0)
-    lams = np.repeat(abs(float(alpha)) * eigenvalues(restrict(kernel, idx)), copies)
+    lams = np.repeat(admissible(eigenvalues(restrict(kernel, idx)), alpha), copies)
     if alpha < 0:
         return bernoulli_sum_pmf(lams)
     if n_max is None:

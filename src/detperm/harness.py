@@ -17,6 +17,7 @@ import numpy as np
 from .core import (
     DetpermError,
     ParameterError,
+    _field,
     bernoulli_sum_pmf,
     require_int,
     require_real,
@@ -319,9 +320,10 @@ def _positive(params, key, default=None):
 
 def _path(params, key):
     """``params[key]`` if it is a string: an integer would open a file descriptor."""
-    if not isinstance(params[key], str):
-        raise ParameterError(f"check parameter {key!r} must be a path string, got {params[key]!r}")
-    return params[key]
+    path = _field(params, key, f"{params['type']} check")
+    if not isinstance(path, str):
+        raise ParameterError(f"check parameter {key!r} must be a path string, got {path!r}")
+    return path
 
 
 def _list(value, name, read):
@@ -358,7 +360,8 @@ def _check_count_law(alpha, params, rng):
 
 
 def _check_categorical(params, rng):
-    w = np.array(_list(params["weights"], "check parameter 'weights'", require_real))
+    w = np.array(_list(_field(params, "weights", "categorical check"),
+                       "check parameter 'weights'", require_real))
     n = _positive(params, "samples", 100000)
     draws = sample_categorical(w, rng, size=n)
     return [chi_square_fit(np.bincount(draws, minlength=len(w)), w / w.sum(),
@@ -383,11 +386,12 @@ def _check_clt(params, rng):
         spec = params["binomial_levels"]
         if not isinstance(spec, dict):
             raise ParameterError(f"'binomial_levels' must be an object, got {spec!r}")
-        p = unit(spec["p"], "binomial_levels p")
-        levels = [[p] * size for size in _list(spec["sizes"], "binomial_levels sizes",
+        p = unit(_field(spec, "p", "'binomial_levels'"), "binomial_levels p")
+        sizes = _field(spec, "sizes", "'binomial_levels'")
+        levels = [[p] * size for size in _list(sizes, "binomial_levels sizes",
                                                functools.partial(require_int, minimum=1))]
     else:
-        levels = _list(params["levels"], "check parameter 'levels'",
+        levels = _list(_field(params, "levels", "clt check"), "check parameter 'levels'",
                        functools.partial(_list, read=unit))
     n = _positive(params, "samples", 20000)
     return [clt_check(levels, n, rng)]

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    EIGENVALUE_TOL,
     HERMITIAN_TOL,
     INTENSITY_IMAG_TOL,
     ORTHONORMALITY_TOL,
@@ -28,7 +27,9 @@ from .core import (
     CapacityError,
     DetpermError,
     GroundSet,
+    InvalidEigenvalueError,
     SymmetryError,
+    admissible,
 )
 
 PERMANENT_CAP = 20  # Ryser is O(2^n n)
@@ -289,18 +290,15 @@ class KernelVerdict:
 
 def validate_determinantal(kernel):
     """Decide whether a HermitianKernel can carry a determinantal process:
-    valid iff every eigenvalue (in the weighted inner product) lies in
-    [0, 1] up to EIGENVALUE_TOL.  The Hermitian condition is the kernel
+    valid iff its eigenvalues (in the weighted inner product) are
+    ``admissible`` at alpha = -1.  The Hermitian condition is the kernel
     type's own: constructing a HermitianKernel from a non-Hermitian matrix
     raises SymmetryError.
     """
-    vals = spectrum(kernel).eigenvalues
-    if vals.size and vals.max() > 1 + EIGENVALUE_TOL:
-        lam = float(vals.max())
-        return KernelVerdict(False, f"eigenvalue {lam!r} above 1", lam)
-    if vals.size and vals.min() < -EIGENVALUE_TOL:
-        lam = float(vals.min())
-        return KernelVerdict(False, f"eigenvalue {lam!r} below 0", lam)
+    try:
+        admissible(spectrum(kernel).eigenvalues, -1.0)
+    except InvalidEigenvalueError as exc:
+        return KernelVerdict(False, str(exc), exc.eigenvalue)
     return KernelVerdict(True)
 
 

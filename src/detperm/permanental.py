@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .core import DetpermError, PointConfiguration, clamp_nonnegative, sample_poisson_array
+from .core import DetpermError, PointConfiguration, admissible, sample_poisson_array
 from .dpp import count_pmf
 from .kernels import spectrum
 
@@ -33,7 +33,7 @@ def sample_permanental(kernel, rng):
     with one standard complex normal a_k per eigenfunction in descending
     eigenvalue order, then a Poisson count of mean mu(x) |F(x)|^2 per atom."""
     spec = spectrum(kernel)
-    lams = clamp_nonnegative(spec.eigenvalues)
+    lams = admissible(spec.eigenvalues, 1.0)
     coeffs = standard_complex_normal(rng, size=len(lams))
     field = spec.eigenvectors @ (np.sqrt(lams) * coeffs)
     if not np.all(np.isfinite(field.view(float))):

@@ -19,13 +19,14 @@ import numpy as np
 
 from .core import (
     DISCRETIZATION_CLAMP_TOL,
-    EIGENVALUE_TOL,
     NORMALIZATION_TOL,
     DetpermError,
     DiscretizationError,
     GroundSet,
     ParameterError,
     PointConfiguration,
+    _field,
+    admissible,
     gamma_cdf,
     require_int,
     require_real,
@@ -100,13 +101,6 @@ def base_density(name):
         ) from None
 
 
-def _field(obj, key, where):
-    """``obj[key]``, or a ParameterError that names the field missing from ``where``."""
-    if key not in obj:
-        raise ParameterError(f"{where} has no {key!r} field")
-    return obj[key]
-
-
 @dataclass(frozen=True)
 class RadialTerm:
     degree: int
@@ -126,11 +120,10 @@ class RadialKernelSpec:
         degrees = [t.degree for t in terms]
         if len(set(degrees)) != len(degrees):
             raise DetpermError("term degrees must be distinct")
+        admissible([t.weight for t in terms], -1.0)  # the term weights are the eigenvalues
         for t in terms:
             if t.degree < 0:
                 raise DetpermError("term degree must be non-negative")
-            if not (-EIGENVALUE_TOL <= t.weight <= 1 + EIGENVALUE_TOL):
-                raise DetpermError(f"term weight {t.weight!r} outside [0, 1]")
             if t.norm_sq <= 0:
                 raise DetpermError("term normalizer must be positive")
             resid = abs(t.norm_sq * b.moment(t.degree) - 1.0)

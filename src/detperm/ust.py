@@ -105,7 +105,11 @@ class Graph:
                     seen.add(x)
                     vertices.append(x)
             edges.append((u, v))
-            conds.append(float(parts[2]) if len(parts) == 3 else 1.0)
+            try:
+                conds.append(float(parts[2]) if len(parts) == 3 else 1.0)
+            except ValueError:
+                raise GraphError(
+                    f"line {lineno}: conductance {parts[2]!r} is not a number") from None
         return Graph(tuple(vertices), tuple(edges), np.array(conds))
 
     @staticmethod

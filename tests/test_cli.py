@@ -17,13 +17,7 @@ EXAMPLE_SUITE = SCRIPTS / "example_suite.json"
 # stdout of `detperm verify --suite scripts/example_suite.json --seed 4`
 EXAMPLE_VERIFY_OUTPUT = Path(__file__).resolve().parent / "data" / "verify_example_seed4.jsonl"
 # a weighted complex kernel with eigenvalues within 1e-4 of 0.9, 0.6, 0.3, 0.15, 0.05
-GOLDEN_KERNEL = {"ground": {"labels": [0, 1, 2, 3, 4], "weights": [0.5, 1.25, 0.75, 1.0, 1.5]},
-                 "matrix": [
-    [[0.7489, 0.0], [-0.0999, 0.061], [-0.1709, 0.0431], [-0.1009, 0.0678], [-0.0022, 0.0541]],
-    [[-0.0999, -0.061], [0.4348, 0.0], [-0.0408, -0.0712], [-0.1786, 0.0495], [-0.1388, -0.1912]],
-    [[-0.1709, -0.0431], [-0.0408, 0.0712], [0.4901, 0.0], [0.2187, -0.0152], [0.0275, -0.0287]],
-    [[-0.1009, -0.0678], [-0.1786, -0.0495], [0.2187, 0.0152], [0.3612, 0.0], [-0.0183, 0.0708]],
-    [[-0.0022, -0.0541], [-0.1388, 0.1912], [0.0275, 0.0287], [-0.0183, -0.0708], [0.2356, 0.0]]]}
+GOLDEN_KERNEL = Path(__file__).resolve().parent / "data" / "golden_kernel.json"
 # stdout of `detperm <key> --kernel <GOLDEN_KERNEL file>` for each key
 GOLDEN_KINDS_OUTPUT = Path(__file__).resolve().parent / "data" / "kinds_golden_kernel.json"
 # a 3 x 4 grid with non-unit conductances, and the stdout of
@@ -51,13 +45,6 @@ def projection_file(tmp_path):
     kernel = projection_from_rank(dp.GroundSet.uniform(4), 2, rng)
     path = tmp_path / "projection.json"
     kernel.save(path)
-    return str(path)
-
-
-@pytest.fixture
-def golden_kernel_file(tmp_path):
-    path = tmp_path / "golden.json"
-    path.write_text(json.dumps(GOLDEN_KERNEL))
     return str(path)
 
 
@@ -197,10 +184,13 @@ class TestSampleCommand:
         ({"labels": 5, "weights": [1]}, "'ground' must be an object with a 'labels' list"),
         ({"labels": [{"a": 1}], "weights": [1]}, "a label must be a number, a string or a list"),
         ({"labels": [[0, {"a": 1}]], "weights": [1]},
-         "a label must be a number, a string or a list")],
-        ids=["ground-a-number", "labels-a-number", "label-an-object", "nested-label-an-object"])
+         "a label must be a number, a string or a list"),
+        ({"labels": [0]}, "'ground' has no 'weights' field")],
+        ids=["ground-a-number", "labels-a-number", "label-an-object", "nested-label-an-object",
+             "no-weights"])
     def test_malformed_ground_exits_two(self, ground, message, tmp_path, capsys):
-        # each once ended in a TypeError traceback with exit 1
+        # each once ended in a TypeError traceback with exit 1, and a missing
+        # field printed only its name
         path = tmp_path / "ground.json"
         path.write_text(json.dumps({"ground": ground, "matrix_real": [[0.5]]}))
         assert main(["sample", "dpp", "--kernel", str(path), "--seed", "1"]) == 2
@@ -257,19 +247,74 @@ class TestCountsCommand:
 class TestProcessKinds:
     """The kinds dpp and perm are the alpha-determinantal process at alpha = -1 and +1."""
 
-    def test_outputs_are_pinned(self, golden_kernel_file, capsys):
+    def test_outputs_are_pinned(self, capsys):
         for args, expected in json.loads(GOLDEN_KINDS_OUTPUT.read_text()).items():
-            assert main(args.split() + ["--kernel", golden_kernel_file]) == 0, args
+            assert main(args.split() + ["--kernel", str(GOLDEN_KERNEL)]) == 0, args
             assert capsys.readouterr().out == expected, args
 
     @pytest.mark.parametrize("kind,alpha", [("dpp", "-1"), ("perm", "1")])
-    def test_alpha_minus_and_plus_one_draw_the_kind_stream(self, kind, alpha,
-                                                           golden_kernel_file, capsys):
-        tail = ["--kernel", golden_kernel_file, "--count", "20", "--seed", "8"]
+    def test_alpha_minus_and_plus_one_draw_the_kind_stream(self, kind, alpha, capsys):
+        tail = ["--kernel", str(GOLDEN_KERNEL), "--count", "20", "--seed", "8"]
         assert main(["sample", kind] + tail) == 0
         expected = capsys.readouterr().out
         assert main(["sample", "alpha", "--alpha", alpha] + tail) == 0
         assert capsys.readouterr().out == expected
+
+
+# The alpha-process of K exists iff the eigenvalues of |alpha| K lie in [0, 1]
+# for alpha = -1/m and in [0, inf) for alpha = 1/m (Shirai and Takahashi 2003).
+TABLE_EIGENVALUES = [-0.1, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0]
+TABLE_ALPHAS = [-1.0, -1 / 2, -1 / 3, 1 / 2, 1.0]
+
+
+def _kind(alpha):
+    """The kind of the process of this alpha and the flags that go with it."""
+    if alpha in (-1.0, 1.0):
+        return ("dpp" if alpha < 0 else "perm"), []
+    return "alpha", ["--alpha", repr(alpha)]
+
+
+class TestAdmissibility:
+    """``sample``, ``counts`` and ``validate`` accept a kernel exactly where the
+    existence criterion holds, and reject it with one message."""
+
+    @pytest.mark.parametrize("alpha", TABLE_ALPHAS, ids=["-1", "-1/2", "-1/3", "1/2", "1"])
+    @pytest.mark.parametrize("lam", TABLE_EIGENVALUES)
+    def test_every_command_applies_the_existence_rule(self, tmp_path, capsys, lam, alpha):
+        path = tmp_path / "kernel.json"
+        path.write_text(json.dumps({"matrix_real": [[lam, 0.0], [0.0, 0.5]]}))
+        if lam < 0:
+            message = f"eigenvalue {lam!r} below 0"
+        elif alpha < 0 and lam > round(-1 / alpha):
+            message = f"eigenvalue {lam!r} above {round(-1 / alpha)}"
+        else:
+            message = None
+        kind, flags = _kind(alpha)
+        kernel = ["--kernel", str(path)]
+        # counts over atom 1 alone, whose block 0.5 is admissible at every alpha
+        for argv in (["sample", kind, *flags, *kernel, "--count", "3", "--seed", "1"],
+                     ["counts", "--kind", kind, *flags, *kernel, "--subset", "1"]):
+            assert main(argv) == (0 if message is None else 2), argv
+            captured = capsys.readouterr()
+            if message is not None:
+                assert (captured.out, captured.err) == ("", f"error: {message}\n"), argv
+        if alpha == -1.0:
+            assert main(["validate", *kernel]) == (0 if message is None else 1)
+            verdict = json.loads(capsys.readouterr().out)
+            assert verdict == ({"valid": True} if message is None else
+                               {"valid": False, "reason": message, "eigenvalue": lam})
+
+    @pytest.mark.parametrize("subset", ["0", ""], ids=["atom-0", "empty"])
+    def test_counts_checks_the_whole_kernel(self, tmp_path, capsys, subset):
+        # eigenvalues 1.5 and 0.3; by interlacing the block 0.9 on atom 0 lies
+        # in [0, 1], and its law was once printed with exit 0
+        path = tmp_path / "kernel.json"
+        path.write_text(json.dumps({"matrix_real": [[0.9, 0.6], [0.6, 0.9]]}))
+        assert main(["validate", "--kernel", str(path)]) == 1
+        reason = json.loads(capsys.readouterr().out)["reason"]
+        assert reason.startswith("eigenvalue 1.") and reason.endswith(" above 1")
+        assert main(["counts", "--kind", "dpp", "--subset", subset, "--kernel", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: {reason}\n")
 
 
 class TestRadialCommand:
@@ -287,6 +332,13 @@ class TestRadialCommand:
         ) == 0
         payload = json.loads(capsys.readouterr().out)
         assert np.array(payload["lambdas"]).shape == (2, 2)
+
+    @pytest.mark.parametrize("entry", ["0", "0:x", "0:1:2"])
+    def test_malformed_annulus_is_named(self, spec_file, capsys, entry):
+        # "0" once printed "not enough values to unpack", "0:x" a bare float error
+        assert main(["radial", "lambdas", "--spec", spec_file, "--annuli", f"0.5:1,{entry}"]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: --annuli entry {entry!r} must be two numbers lo:hi\n")
 
     def test_cloud(self, spec_file, tmp_path, capsys):
         out = tmp_path / "cloud.csv"
@@ -377,6 +429,14 @@ class TestUstCommand:
         path.write_text("a b\nb c inf\n")
         assert main(["ust", "sample", "--graph", str(path), "--seed", "0"]) == 2
         assert "conductances must be finite and strictly positive" in capsys.readouterr().err
+
+
+    def test_unparsable_conductance_names_its_line(self, tmp_path, capsys):
+        # once printed only "could not convert string to float: 'x'"
+        path = tmp_path / "x.txt"
+        path.write_text("a b\n# comment\nb c x\n")
+        assert main(["ust", "sample", "--graph", str(path), "--seed", "0"]) == 2
+        assert capsys.readouterr() == ("", "error: line 3: conductance 'x' is not a number\n")
 
 
 class TestVerifyCommand:
@@ -521,6 +581,25 @@ class TestVerifyCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("check, message", [
+        pytest.param({"type": "categorical", "samples": 100},
+                     "categorical check has no 'weights' field", id="no-weights"),
+        pytest.param({"type": "clt"}, "clt check has no 'levels' field", id="no-levels"),
+        pytest.param({"type": "clt", "binomial_levels": {"sizes": [4, 8, 16]}},
+                     "'binomial_levels' has no 'p' field", id="no-binomial-p"),
+        pytest.param({"type": "clt", "binomial_levels": {"p": 0.5}},
+                     "'binomial_levels' has no 'sizes' field", id="no-binomial-sizes"),
+        pytest.param({"type": "perm_count_law"}, "perm_count_law check has no 'kernel' field",
+                     id="no-kernel"),
+        pytest.param({"type": "ust_subset_counts"},
+                     "ust_subset_counts check has no 'graph' field", id="no-graph")])
+    def test_missing_field_is_named(self, tmp_path, capsys, check, message):
+        # each once printed only the key, as in "error: 'weights'"
+        suite = tmp_path / "suite.json"
+        suite.write_text(json.dumps({"checks": [check]}))
+        assert main(["verify", "--suite", str(suite), "--seed", "4"]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_clt_stream_without_repeats_is_pinned(self, capsys):
         # a level that repeats no lambda draws one uniform per indicator

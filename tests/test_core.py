@@ -56,6 +56,27 @@ class TestBernoulliSumPmf:
             dp.bernoulli_sum_pmf([-0.001])
 
 
+class TestAdmissible:
+    def test_scales_and_clamps_jitter(self):
+        np.testing.assert_array_equal(dp.core.admissible([-5e-10, 0.5, 2 + 1e-9], -0.5),
+                                      [0.0, 0.25, 1.0])
+        np.testing.assert_array_equal(dp.core.admissible([-1e-9, 3.0], 1 / 3), [0.0, 1.0])
+        assert dp.core.admissible([], 1.0).size == 0
+
+    @pytest.mark.parametrize("values, alpha, message, eigenvalue", [
+        ([0.5, 2.4], -0.5, "eigenvalue 2.4 above 2", 2.4),
+        ([0.5, -0.1], 0.5, "eigenvalue -0.1 below 0", -0.1),
+        ([np.nan], 1.0, "eigenvalue nan below 0", None)],
+        ids=["above-two", "below-zero", "nan"])
+    def test_names_the_kernel_eigenvalue(self, values, alpha, message, eigenvalue):
+        # the bound is 1/|alpha| on K itself, not 1 on the scaled copy |alpha| K
+        with pytest.raises(InvalidEigenvalueError) as info:
+            dp.core.admissible(values, alpha)
+        assert str(info.value) == message
+        if eigenvalue is not None:
+            assert info.value.eigenvalue == eigenvalue
+
+
 class TestGeometricSumPmf:
     def test_single_unit_mean(self):
         law = dp.geometric_sum_pmf([1.0], 3)
@@ -320,8 +341,8 @@ def _drifted_trace():
 @pytest.mark.parametrize("fail, shown", [
     (_cancelled_pivot, "at atom 0 cancelled below 1e-10 of 0.5000"),
     (_drifted_trace, "residual intensity 2.0402"),
-    (lambda: dp.core.clamp_unit_interval(np.array([0.5, 1.5])), "value 1.5 outside"),
-    (lambda: dp.core.clamp_nonnegative(np.array([0.5, -0.5])), "value -0.5 negative"),
+    (lambda: dp.core.admissible(np.array([0.5, 1.5]), -1.0), "eigenvalue 1.5 above 1"),
+    (lambda: dp.core.admissible(np.array([0.5, -0.5]), 1.0), "eigenvalue -0.5 below 0"),
     (lambda: dp.sample_categorical(np.array([np.inf, 1.0]), dp.stream(1)), "sum to inf"),
     (lambda: dp.CountDistribution(np.array([0.5, 0.25])), "got 0.75"),
 ], ids=["pivot", "drift", "unit-interval", "nonnegative", "categorical", "pmf"])

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import detperm as dp
 from detperm import dpp
-from detperm.core import KernelValidationError, NumericalDegeneracyError
+from detperm.core import InvalidEigenvalueError, NumericalDegeneracyError
 
 from conftest import (
     chi_square_homogeneity,
@@ -248,7 +248,7 @@ class TestSampleDpp:
 
     def test_invalid_kernel_rejected(self, rng):
         k = dp.HermitianKernel(1.2 * np.eye(2, dtype=complex), dp.GroundSet.uniform(2))
-        with pytest.raises(KernelValidationError):
+        with pytest.raises(InvalidEigenvalueError, match="eigenvalue 1.2 above 1"):
             dp.sample_dpp(k, rng)
 
 
