@@ -9,6 +9,7 @@ parallel batches.  No module touches numpy's global RNG.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,6 +97,15 @@ def _field(obj, key, where):
     if key not in obj:
         raise ParameterError(f"{where} has no {key!r} field")
     return obj[key]
+
+
+def _array(value, key):
+    """``value``, the field ``key`` of a JSON input, as a numpy array, or a
+    ParameterError that names the field when it is a ragged list."""
+    try:
+        return np.asarray(value)
+    except ValueError:  # numpy's "inhomogeneous shape"
+        raise ParameterError(f"{key!r} must be a rectangular array, got a ragged list") from None
 
 
 def require_int(value, name, minimum):
@@ -242,7 +252,7 @@ class GroundSet:
     def from_json(obj):
         if not isinstance(obj, dict) or not isinstance(obj.get("labels"), list):
             raise ParameterError(f"'ground' must be an object with a 'labels' list, got {obj!r}")
-        weights = np.asarray(_field(obj, "weights", "'ground'"))
+        weights = _array(_field(obj, "weights", "'ground'"), "weights")
         if weights.dtype.kind not in "iuf":
             raise DetpermError(f"'weights' must hold numbers, got {weights.dtype} entries")
         return GroundSet(tuple(_decode_label(x) for x in obj["labels"]), weights)
@@ -342,12 +352,21 @@ def bernoulli_sum_pmf(lambdas):
     """Exact pmf of a sum of independent Bernoulli(lambda_k) variables.
 
     Computed by convolving the factors of the generating polynomial
-    prod_k (1 - lambda_k + lambda_k t); no truncation is involved.
+    prod_k (1 - lambda_k + lambda_k t); no truncation is involved.  A lambda
+    that occurs m times contributes (1 - lambda + lambda t)^m by repeated
+    squaring, in O(log m) convolutions; the distinct lambdas are taken in
+    order of first occurrence, so lambdas that all differ are convolved one
+    by one in their given order.
     """
-    lams = admissible(lambdas, -1.0)
     pmf = np.array([1.0])
-    for lam in lams:
-        pmf = np.convolve(pmf, [1.0 - lam, lam])
+    for lam, m in Counter(admissible(lambdas, -1.0).tolist()).items():
+        factor = np.array([1.0 - lam, lam])
+        while m:
+            if m & 1:
+                pmf = np.convolve(pmf, factor)
+            m >>= 1
+            if m:
+                factor = np.convolve(factor, factor)
     return CountDistribution(pmf, 0.0)
 
 

@@ -145,11 +145,9 @@ _erfc = np.frompyfunc(math.erfc, 1, 1)
 
 
 def normal_cdf(x):
-    """The standard normal CDF, 0.5 erfc(-x / sqrt(2)), with one erfc call
-    per distinct value of x: count statistics repeat few values many times."""
-    x = np.asarray(x, dtype=float)
-    values, inverse = np.unique(x, return_inverse=True)
-    return (0.5 * _erfc(-values / math.sqrt(2)).astype(float))[inverse].reshape(x.shape)
+    """The standard normal CDF, 0.5 erfc(-x / sqrt(2)), one erfc call per
+    entry of x: ``clt_check`` passes each count value once."""
+    return 0.5 * np.asarray(_erfc(-np.asarray(x, dtype=float) / math.sqrt(2)), dtype=float)
 
 
 def ks_distance(samples, cdf):
@@ -157,11 +155,23 @@ def ks_distance(samples, cdf):
     and ``cdf``, from the sorted sample: max over i of i/n - F(x_(i)) and
     F(x_(i)) - (i-1)/n."""
     x = np.sort(np.asarray(samples, dtype=float))
-    n = x.size
     values = cdf(x)
-    d_plus = (np.arange(1.0, n + 1) / n - values).max()
-    d_minus = (values - np.arange(0.0, n) / n).max()
-    return float(max(d_plus, d_minus))
+    grid = np.arange(x.size + 1) / x.size
+    return float(max((grid[1:] - values).max(), (values - grid[:-1]).max()))
+
+
+def ks_distance_of_counts(counts, cdf):
+    """``ks_distance`` of the integer sample that holds the value k
+    ``counts[k]`` times, read at its distinct values k: within a run of ties
+    the distance is largest at its ends, the cumulative count c_k through k
+    over n minus F(k), and F(k) minus c_k - counts[k] over n.  Bit for bit
+    the same as on the expanded sample."""
+    counts = np.asarray(counts)
+    k = np.flatnonzero(counts)
+    through = counts.cumsum()[k]
+    values = cdf(k)
+    n = through[-1]
+    return float(max((through / n - values).max(), (values - (through - counts[k]) / n).max()))
 
 
 # ---------------------------------------------------------------------------
@@ -177,21 +187,26 @@ def counts_from_values(values):
 
 
 def _merge_low_bins(observed, expected):
-    """Greedily merge adjacent bins until every expected count reaches
-    MIN_EXPECTED (classical validity condition for the Pearson statistic)."""
-    obs = [float(o) for o in observed]
-    exp = [float(e) for e in expected]
-    i = 0
-    while i < len(exp):
-        if exp[i] >= MIN_EXPECTED or len(exp) == 1:
-            i += 1
-            continue
-        j = i + 1 if i + 1 < len(exp) else i - 1
-        exp[j] += exp[i]
-        obs[j] += obs[i]
-        del exp[i], obs[i]
-        if j < i:
-            i = j
+    """Merge adjacent bins until every expected count reaches MIN_EXPECTED
+    (classical validity condition for the Pearson statistic), in one pass
+    from the left: bins are summed until their expected count reaches it,
+    and a remainder still below it at the end joins the last merged bin
+    (all of them form one bin if none reaches it)."""
+    obs, exp = [], []
+    o_run = e_run = 0.0
+    for o, e in zip(np.asarray(observed, dtype=float).tolist(),
+                    np.asarray(expected, dtype=float).tolist()):
+        o_run += o
+        e_run += e
+        if e_run >= MIN_EXPECTED:
+            obs.append(o_run)
+            exp.append(e_run)
+            o_run = e_run = 0.0
+    if exp:
+        obs[-1] += o_run
+        exp[-1] += e_run
+    else:
+        obs, exp = [o_run], [e_run]
     return np.array(obs), np.array(exp)
 
 
@@ -252,8 +267,10 @@ def clt_check(lambda_sequences, samples_per_level, rng):
     sigma^3 (Shevtsova 2010), where rho_i = lambda_i (1 - lambda_i)
     (lambda_i^2 + (1 - lambda_i)^2) is the third absolute central moment of
     indicator i, plus the DKW band sqrt(ln(2 L / DEFAULT_SIGNIFICANCE) / (2 n))
-    of the empirical CDF of n draws.  ``details["failed"]`` names each
-    failed condition and its level.
+    of the empirical CDF of n draws.  Both conditions read one histogram of
+    the level's counts, the KS distance at its distinct values
+    (``ks_distance_of_counts``).  ``details["failed"]`` names each failed
+    condition and its level.
     """
     seqs = [np.asarray(s, dtype=float) for s in lambda_sequences]
     if len(seqs) < 3:
@@ -279,11 +296,13 @@ def clt_check(lambda_sequences, samples_per_level, rng):
             for i in range(0, samples_per_level, rows)])
         for lam, m in zip(values[repeats > 1], repeats[repeats > 1]):
             counts += rng.binomial(m, lam, samples_per_level)
-        z = (counts - mu) / math.sqrt(var)
-        ks_stats.append(ks_distance(z, normal_cdf))
+        histogram = counts_from_values(counts)
+        sigma = math.sqrt(var)
+        ks_stats.append(ks_distance_of_counts(histogram,
+                                              lambda k: normal_cdf((k - mu) / sigma)))
         rho = float((lams * (1 - lams) * (lams**2 + (1 - lams) ** 2)).sum())
         ks_bounds.append(0.56 * rho / var**1.5 + band)
-        fit = chi_square_fit(counts_from_values(counts), bernoulli_sum_pmf(lams).pmf,
+        fit = chi_square_fit(histogram, bernoulli_sum_pmf(lams).pmf,
                              significance=level_significance)
         chi_square_p.append(fit.p_value)
         if not fit.passed:

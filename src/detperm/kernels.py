@@ -28,7 +28,9 @@ from .core import (
     DetpermError,
     GroundSet,
     InvalidEigenvalueError,
+    ParameterError,
     SymmetryError,
+    _array,
     admissible,
 )
 
@@ -134,13 +136,15 @@ class HermitianKernel:
         """Parse ``{"ground": ..., "matrix": [[[re, im], ...], ...]}`` or the
         real shorthand ``{"matrix_real": [[...]]}``.  A missing ground
         defaults to indices 0..n-1 with unit weights."""
+        if not isinstance(obj, dict):
+            raise ParameterError(f"a kernel must be a JSON object, got {obj!r}")
         if "matrix_real" in obj:
-            real = np.asarray(obj["matrix_real"])
+            real = _array(obj["matrix_real"], "matrix_real")
             if real.dtype.kind not in "iuf":
                 raise DetpermError(f"'matrix_real' must hold numbers, got {real.dtype} entries")
             matrix = real
         elif "matrix" in obj:
-            pairs = np.asarray(obj["matrix"])
+            pairs = _array(obj["matrix"], "matrix")
             if pairs.dtype.kind not in "iuf" or pairs.ndim != 3 or pairs.shape[2] != 2:
                 raise DetpermError(f"'matrix' must hold [re, im] number pairs, got "
                                    f"{pairs.dtype} entries of shape {pairs.shape}")
@@ -309,7 +313,7 @@ def restrict(kernel, subset):
     idx = [int(i) for i in subset]
     if len(set(idx)) != len(idx):
         raise DetpermError("restriction subset must have distinct indices")
-    if any(i < 0 or i >= kernel.size for i in idx):
+    if idx and (min(idx) < 0 or max(idx) >= kernel.size):
         raise DetpermError("restriction index outside the ground set")
     ground = GroundSet(
         tuple(kernel.ground.labels[i] for i in idx),

@@ -195,15 +195,16 @@ def sample_radial_moduli(spec, rng, size=None):
     squared-modulus law, in term order (no distributional meaning attaches
     to it).  With ``size``, draw that many samples term by term (a term's
     inclusion coins, then its kept moduli) into a (size, terms) array with
-    NaN where a term was left out."""
+    NaN where a term was left out.  The array is the transpose of a
+    term-major buffer, so each term's column is contiguous."""
     b = base_density(spec.base)
     if size is None:
         return [b.sample_q(t.degree, rng) for t in spec.terms if rng.random() < t.weight]
-    out = np.full((size, len(spec.terms)), np.nan)
+    out = np.full((len(spec.terms), size), np.nan)
     for j, t in enumerate(spec.terms):
         kept = rng.random(size) < t.weight
-        out[kept, j] = b.sample_q(t.degree, rng, int(kept.sum()))
-    return out
+        out[j, kept] = b.sample_q(t.degree, rng, int(kept.sum()))
+    return out.T
 
 
 def annuli_lambdas(spec, annuli):

@@ -5,8 +5,9 @@ spanning trees come from brute-force subset enumeration, occupancy laws
 from enumerating every ball placement, count laws from enumerating every
 indicator outcome.  The random kernel builders give tests projections and
 kernels with a prescribed spectrum.  The reference implementations at the
-end (occupancy samplers, the bosonic density, the two-sample chi-square
-and the power-sum moment check) build on the library's primitives, such
+end (occupancy samplers, the bosonic density, the sequential Bernoulli
+convolution, the greedy bin merge, the two-sample chi-square and the
+power-sum moment check) build on the library's primitives, such
 as ``sample_categorical`` and ``permanent``, but are a second path to the
 laws its samplers are compared against.
 """
@@ -255,6 +256,35 @@ def bosonic_density(phis, alphas, points):
     value = permanent(rows)
     norm = math.factorial(ell) * math.prod(math.factorial(a) for a in alphas)
     return float(abs(value) ** 2 / norm)
+
+
+def bernoulli_sum_sequential(lams):
+    """Exact count pmf by convolving one factor (1 - lambda, lambda) per
+    indicator, in the given order."""
+    pmf = np.array([1.0])
+    for lam in lams:
+        pmf = np.convolve(pmf, [1.0 - lam, lam])
+    return pmf
+
+
+def merge_low_bins_greedy(observed, expected):
+    """Pearson bin merging by the greedy list loop: a bin whose expected
+    count is below MIN_EXPECTED joins its right neighbour, the last one its
+    left neighbour, until every bin reaches it or one bin is left."""
+    obs = [float(o) for o in observed]
+    exp = [float(e) for e in expected]
+    i = 0
+    while i < len(exp):
+        if exp[i] >= MIN_EXPECTED or len(exp) == 1:
+            i += 1
+            continue
+        j = i + 1 if i + 1 < len(exp) else i - 1
+        exp[j] += exp[i]
+        obs[j] += obs[i]
+        del exp[i], obs[i]
+        if j < i:
+            i = j
+    return np.array(obs), np.array(exp)
 
 
 def chi_square_homogeneity(counts_a, counts_b, significance=DEFAULT_SIGNIFICANCE,

@@ -15,7 +15,8 @@ from detperm.core import (
     sample_poisson_array,
 )
 
-from conftest import bernoulli_sum_enumeration, sample_geometric, tabulate
+from conftest import (bernoulli_sum_enumeration, bernoulli_sum_sequential, sample_geometric,
+                      tabulate)
 
 ALPHA = 1e-3
 
@@ -46,6 +47,20 @@ class TestBernoulliSumPmf:
         law = dp.bernoulli_sum_pmf(lams)
         assert abs(law.mean() - sum(lams)) < 1e-10
         assert abs(law.variance() - sum(l * (1 - l) for l in lams)) < 1e-10
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_repeated_lambdas_match_the_sequential_convolution(self, seed):
+        # a lambda repeated m times is convolved by repeated squaring; one
+        # that occurs once keeps its place in the order
+        r = np.random.default_rng(seed)
+        for _ in range(50):
+            distinct = r.uniform(0.05, 0.95, int(r.integers(0, 8))).tolist()
+            m = int(r.integers(2, 100))
+            lams = distinct[:3] + [float(r.uniform(0.05, 0.95))] * m + distinct[3:]
+            np.testing.assert_allclose(dp.bernoulli_sum_pmf(lams).pmf,
+                                       bernoulli_sum_sequential(lams), rtol=1e-13, atol=0)
+            np.testing.assert_array_equal(dp.bernoulli_sum_pmf(distinct).pmf,
+                                          bernoulli_sum_sequential(distinct))
 
     def test_clamps_jitter_but_rejects_real_violations(self):
         law = dp.bernoulli_sum_pmf([-5e-10, 1 + 5e-10])

@@ -9,11 +9,11 @@ from scipy import special, stats
 import detperm as dp
 from detperm import harness
 from detperm.core import CapacityError, ParameterError, gamma_cdf
-from detperm.harness import (chi2_sf, counts_from_values, ks_distance, ks_sf, normal_cdf,
-                             run_suite)
+from detperm.harness import (chi2_sf, counts_from_values, ks_distance, ks_distance_of_counts,
+                             ks_sf, normal_cdf, run_suite)
 from detperm.planar import base_density
 
-from conftest import chi_square_homogeneity, tabulate
+from conftest import chi_square_homogeneity, merge_low_bins_greedy, tabulate
 
 
 class TestChiSquareFit:
@@ -50,6 +50,22 @@ class TestChiSquareFit:
         pmf = np.array([0.5, 0.49, 0.003, 0.003, 0.002, 0.002])
         report = dp.chi_square_fit(observed, pmf)
         assert report.details["dof"] == 2  # six bins merged down to three
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_one_pass_merge_is_the_greedy_merge(self, seed):
+        # expected counts around MIN_EXPECTED with zero bins and, in a third
+        # of the cases, a run of zero-expected bins at the end
+        r = np.random.default_rng(seed)
+        for _ in range(5000):
+            size = int(r.integers(1, 25))
+            expected = r.exponential(4.0, size) * (r.random(size) < 0.8)
+            if r.random() < 1 / 3:
+                expected[size - int(r.integers(1, size + 1)):] = 0.0
+            observed = r.poisson(expected).astype(float)
+            merged = harness._merge_low_bins(observed, expected)
+            reference = merge_low_bins_greedy(observed, expected)
+            for got, want in zip(merged, reference):
+                np.testing.assert_array_equal(got, want)
 
     def test_all_mass_one_bin_is_error(self):
         with pytest.raises(dp.DetpermError):
@@ -201,6 +217,22 @@ class TestClosedForms:
         z = np.repeat([-1.0, 0.0, 2.0], [3, 5, 2])
         ref = stats.kstest(z, "norm").statistic
         assert ks_distance(z, normal_cdf) == pytest.approx(ref, rel=0, abs=1e-15)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_ks_distance_of_counts_is_ks_distance_on_the_sample(self, seed):
+        # integer samples with ties and empty values between them, read
+        # standardized against the normal law and raw against a gamma law
+        r = np.random.default_rng(seed)
+        for _ in range(300):
+            size, p = int(r.integers(1, 80)), r.uniform(0.05, 0.95)
+            values = r.binomial(size, p, int(r.integers(10, 500)))
+            mu, sigma = size * p, math.sqrt(size * p * (1 - p))
+            assert (ks_distance_of_counts(counts_from_values(values),
+                                          lambda k: normal_cdf((k - mu) / sigma))
+                    == ks_distance((values - mu) / sigma, normal_cdf))
+            gamma = functools.partial(gamma_cdf, shape=int(r.integers(1, 20)))
+            assert ks_distance_of_counts(counts_from_values(values), gamma) == ks_distance(
+                values, gamma)
 
 
 # three levels of growing variance, each a lambda of 0.3 repeated among
